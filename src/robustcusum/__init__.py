@@ -27,11 +27,10 @@ from .errors import (
     RobustCusumError,
     StreamExhaustedError,
 )
-from .gaussian import Gaussian, SeededStream, kl_divergence, log_likelihood_ratio, mahalanobis_sq, sample
+from .gaussian import Gaussian, SeededStream, kl_divergence, mahalanobis_sq, sample
 from .lfp import AffineDetector, LfpSolution, SolverOptions, build_affine_detector, solve_lfp
 from .quadratic import (
     ClassSetup,
-    GeneralZ,
     QuadraticDetector,
     SaddleOptions,
     SaddleSolution,

@@ -13,7 +13,6 @@ byte-identical output artifacts regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -21,17 +20,20 @@ import time
 import numpy as np
 
 from .config import bundled_config_path, parse_config
-from .cusum import calibrate_threshold_mc, threshold_from_gamma
+from .cusum import certified_threshold
 from .errors import CalibrationError, ConfigError, ConvergenceError, RobustCusumError
 from .gaussian import Gaussian, SeededStream
 from .simulate import (
-    LANE_CALIBRATION,
     LANE_VERIFY,
     _delay_times,
+    calibrated_threshold,
+    delay_summary,
     estimate_arl,
+    pick_threshold,
     prepare_scenario,
     render_human,
-    run_experiment,
+    render_table,
+    run_scenario,
     stream_id,
     to_csv,
     verify_detector_bounds,
@@ -59,6 +61,19 @@ def _default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _int_at_least(low: int):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common(sub):
@@ -91,8 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=desc, description=desc)
         _add_common(sub)
         if name == "verify":
-            sub.add_argument("--members", type=int, default=10, help="sampled members per class")
-            sub.add_argument("--samples", type=int, default=100_000, help="Monte Carlo draws per member")
+            sub.add_argument("--members", type=_int_at_least(1), default=10, help="sampled members per class (>= 1)")
+            sub.add_argument(
+                "--samples", type=_int_at_least(2), default=100_000, help="Monte Carlo draws per member (>= 2)"
+            )
     return parser
 
 
@@ -159,21 +176,6 @@ def _vec(v) -> str:
     return ";".join(repr(float(x)) for x in np.asarray(v).ravel())
 
 
-def _table(header, rows, fmt) -> str:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    all_rows = [list(header)] + [list(r) for r in rows]
-    widths = [max(len(r[j]) for r in all_rows) for j in range(len(header))]
-    out = []
-    for i, row in enumerate(all_rows):
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if i == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
-
-
 def _cmd_lfp(cfg, args, progress):
     rows = []
     for scen in _select_scenarios(cfg, args, kinds=("mean_shift",)):
@@ -184,7 +186,7 @@ def _cmd_lfp(cfg, args, progress):
              _vec(sol.mu0_star), _vec(sol.mu1_star)]
         )
     header = ["scenario", "delta_sq", "epsilon_star", "iterations", "residual", "mu0_star", "mu1_star"]
-    return _table(header, rows, args.format)
+    return render_table(header, rows, args.format)
 
 
 def _cmd_detector(cfg, args, progress):
@@ -203,58 +205,33 @@ def _cmd_detector(cfg, args, progress):
                  f"||h*||={np.linalg.norm(sol.h_star):.4g}", f"||H*||_F={np.linalg.norm(sol.H_star):.4g}"]
             )
     header = ["scenario", "sv", "gap", "epsilon_star", "iterations", "h_star", "H_star"]
-    return _table(header, rows, args.format)
-
-
-def _procedures(prep):
-    return (("robust", prep.robust_detector), ("baseline", prep.baseline_detector))
-
-
-def _threshold(cfg, prep, detector, procedure, args, progress):
-    if cfg.threshold_mode == "theoretical":
-        eps = getattr(detector, "epsilon_star", None)
-        if eps is not None and 0.0 < eps < 1.0:
-            return threshold_from_gamma(cfg.gamma, eps)
-        return math.log(cfg.gamma)
-    lane_offset = 0 if procedure == "robust" else 1 << 30
-    ids = [stream_id(prep.config.index, LANE_CALIBRATION, lane_offset | t) for t in range(cfg.arl_trials)]
-    return calibrate_threshold_mc(
-        detector, prep.nu0_true, cfg.gamma, cfg.arl_trials, cfg.seed,
-        horizon=cfg.arl_horizon, threads=args.threads, stream_ids=ids, progress=progress,
-    )
+    return render_table(header, rows, args.format)
 
 
 def _cmd_calibrate(cfg, args, progress):
     rows = []
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
-        for procedure, det in _procedures(prep):
-            eps = getattr(det, "epsilon_star", None)
-            b_theory = threshold_from_gamma(cfg.gamma, eps) if eps is not None and 0 < eps < 1 else math.log(cfg.gamma)
-            lane_offset = 0 if procedure == "robust" else 1 << 30
-            ids = [stream_id(scen.index, LANE_CALIBRATION, lane_offset | t) for t in range(cfg.arl_trials)]
-            progress(f"{scen.name}/{procedure}: calibrating")
-            b_cal = calibrate_threshold_mc(
-                det, prep.nu0_true, cfg.gamma, cfg.arl_trials, cfg.seed,
-                horizon=cfg.arl_horizon, threads=args.threads, stream_ids=ids, progress=progress,
-            )
+        for procedure, det in prep.procedures:
+            b_theory = certified_threshold(cfg.gamma, det)
+            b_cal = calibrated_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
             rows.append([scen.name, procedure, _num(b_theory), _num(b_cal)])
-    return _table(["scenario", "procedure", "b_theoretical", "b_calibrated"], rows, args.format)
+    return render_table(["scenario", "procedure", "b_theoretical", "b_calibrated"], rows, args.format)
 
 
 def _cmd_arl(cfg, args, progress):
     rows = []
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
-        for procedure, det in _procedures(prep):
-            b = _threshold(cfg, prep, det, procedure, args, progress)
+        for procedure, det in prep.procedures:
+            b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
             progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
             mean, se, censored = estimate_arl(
                 det, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
                 scenario_index=scen.index, threads=args.threads,
             )
             rows.append([scen.name, procedure, _num(b), _num(mean), _num(se), _num(censored)])
-    return _table(["scenario", "procedure", "b", "arl_mean", "arl_se", "censored_fraction"], rows, args.format)
+    return render_table(["scenario", "procedure", "b", "arl_mean", "arl_se", "censored_fraction"], rows, args.format)
 
 
 def _cmd_edd(cfg, args, progress):
@@ -262,15 +239,13 @@ def _cmd_edd(cfg, args, progress):
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
         n_delay = scen.delay_trials(cfg.delay_trials)
-        for procedure, det in _procedures(prep):
-            b = _threshold(cfg, prep, det, procedure, args, progress)
+        for procedure, det in prep.procedures:
+            b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
             progress(f"{scen.name}/{procedure}: delays at b={b:.5g}")
             times = _delay_times(det, b, cfg.delay_horizon, n_delay, cfg.seed, scen.index, prep.post_draw, args.threads)
-            kept = times[times <= cfg.delay_horizon].astype(float)
-            mean = float(np.mean(kept)) if kept.size else math.nan
-            sd = float(np.std(kept, ddof=1)) if kept.size > 1 else 0.0
-            rows.append([scen.name, procedure, _num(b), _num(mean), _num(sd), str(int(n_delay - kept.size))])
-    return _table(["scenario", "procedure", "b", "wdd_mean", "wdd_sd", "censored"], rows, args.format)
+            mean, sd, censored = delay_summary(times, cfg.delay_horizon)
+            rows.append([scen.name, procedure, _num(b), _num(mean), _num(sd), str(censored)])
+    return render_table(["scenario", "procedure", "b", "wdd_mean", "wdd_sd", "censored"], rows, args.format)
 
 
 def _cmd_verify(cfg, args, progress):
@@ -288,43 +263,33 @@ def _cmd_verify(cfg, args, progress):
                  _num(e.bound), "pass" if e.passed else "FAIL"]
             )
     header = ["scenario", "side", "member", "method", "moment", "std_error", "bound", "status"]
-    return _table(header, rows, args.format)
+    return render_table(header, rows, args.format)
 
 
 def _class_members(cfg, scen, prep, n_members):
     """Gaussians sampled from the scenario's declared classes."""
-    from .config import build_matrix_set, build_vector_set, matrix_payload, vector_payload
-
-    d = cfg.dimension
     rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_VERIFY, 1 << 30)).generator()
+    (mean0, cov0), (mean1, cov1) = prep.classes
     members0, members1 = [], []
-    raw = scen.raw
     if scen.kind == "mean_shift":
-        m0 = build_vector_set(raw["m0"], d)
-        m1 = build_vector_set(raw["m1"], d)
-        sigma = matrix_payload(raw["sigma"], d)
         sol = prep.solution
-        members0.append(Gaussian(sol.mu0_star, sigma))
-        members1.append(Gaussian(sol.mu1_star, sigma))
-        for _ in range(max(n_members - 1, 0)):
-            members0.append(Gaussian(m0.sample_member(rng), sigma))
-            members1.append(Gaussian(m1.sample_member(rng), sigma))
+        members0.append(Gaussian(sol.mu0_star, cov0))
+        members1.append(Gaussian(sol.mu1_star, cov1))
+        for _ in range(n_members - 1):
+            members0.append(Gaussian(mean0.sample_member(rng), cov0))
+            members1.append(Gaussian(mean1.sample_member(rng), cov1))
     else:
-        u0 = build_matrix_set(raw["u0"], d)
-        u1 = build_matrix_set(raw["u1"], d)
-        mean0 = vector_payload(raw.get("mean0", "zeros"), d)
-        mean1 = vector_payload(raw.get("mean1", "zeros"), d)
-        jitter = 1e-9 * np.eye(d)  # keep sampled members factorizable
+        jitter = 1e-9 * np.eye(cfg.dimension)  # keep sampled members factorizable
         for _ in range(n_members):
-            members0.append(Gaussian(mean0, u0.sample_member(rng) + jitter))
-            members1.append(Gaussian(mean1, u1.sample_member(rng) + jitter))
+            members0.append(Gaussian(mean0, cov0.sample_member(rng) + jitter))
+            members1.append(Gaussian(mean1, cov1.sample_member(rng) + jitter))
     return members0, members1
 
 
 def _cmd_experiment(cfg, args, progress):
-    reports = run_experiment(cfg, threads=args.threads, progress=progress)
-    if args.scenario is not None:
-        reports = [r for r in reports if r.scenario == args.scenario]
+    reports = [
+        r for scen in _select_scenarios(cfg, args) for r in run_scenario(cfg, scen, threads=args.threads, progress=progress)
+    ]
     return to_csv(reports) if args.format == "csv" else render_human(reports)
 
 

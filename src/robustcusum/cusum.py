@@ -30,7 +30,7 @@ from .gaussian import Gaussian, SeededStream, sample_with
 _DEFAULT_BLOCK = 1024
 
 # stream_id lane reserved for calibration trials (see simulate.stream_id)
-_CALIBRATION_LANE = 3
+LANE_CALIBRATION = 3
 
 
 @dataclass(frozen=True)
@@ -157,32 +157,49 @@ def run_until_alarm(detector, source, b: float, horizon: int, *, block: int = _D
     return StoppingResult(alarm_time=None, horizon=horizon, final_statistic=carry, increments_consumed=consumed)
 
 
-def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK, threads: int = 1) -> np.ndarray:
+def certified_threshold(gamma: float, detector) -> float:
+    """The certified threshold when the detector carries eps* in (0, 1), else
+    log(gamma), the classic CUSUM guideline for a fully specified pair."""
+    eps = getattr(detector, "epsilon_star", None)
+    if eps is not None and 0.0 < eps < 1.0:
+        return threshold_from_gamma(gamma, eps)
+    return math.log(gamma)
+
+
+def alarm_times(detector, draw, streams, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK, threads: int = 1) -> np.ndarray:
     """Alarm time per trial stream (horizon + 1 marks a censored run).
 
-    Trials are independent (one substream each) and results land in a
-    preallocated array by trial index, so the output is identical for any
-    thread count.
+    Trial i runs on `streams[i].generator()`.  `draw(rng) -> Gaussian` may
+    consume that generator before the observations do, so a trial's
+    parameter draw and its sample path share one substream.  Trials are
+    independent and results land in a preallocated array by trial index, so
+    the output is identical for any thread count.
     """
     streams = list(streams)
-    out = np.empty(len(streams), dtype=np.int64)
+    n = len(streams)
+    out = np.empty(n, dtype=np.int64)
 
     def run_range(lo, hi):
         for i in range(lo, hi):
-            res = run_until_alarm(detector, GaussianSource(gaussian, streams[i]), b, horizon, block=block)
+            rng = streams[i].generator()
+            res = run_until_alarm(detector, GaussianSource(draw(rng), rng=rng), b, horizon, block=block)
             out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
 
-    if threads <= 1 or len(streams) < 2:
-        run_range(0, len(streams))
+    if threads <= 1 or n < 2:
+        run_range(0, n)
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent import futures
 
-        n = len(streams)
         workers = min(threads, n)
         bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda ab: run_range(ab[0], ab[1]), zip(bounds[:-1], bounds[1:])))
     return out
+
+
+def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK, threads: int = 1) -> np.ndarray:
+    """`alarm_times` with every trial observing the one law `gaussian`."""
+    return alarm_times(detector, lambda rng: gaussian, streams, b, horizon, block=block, threads=threads)
 
 
 def calibrate_threshold_mc(
@@ -211,14 +228,10 @@ def calibrate_threshold_mc(
     if not gamma > 1.0:
         raise DomainError(f"gamma must be > 1, got {gamma}")
     horizon = int(horizon if horizon is not None else round(50 * gamma))
-    eps = getattr(detector, "epsilon_star", None)
-    if eps is not None and 0.0 < eps < 1.0:
-        b_theory = threshold_from_gamma(gamma, eps)
-    else:
-        b_theory = math.log(gamma)  # classic CUSUM guideline for a fully specified pair
+    b_theory = certified_threshold(gamma, detector)
     lo, hi = 0.1 * b_theory, 2.0 * b_theory + 10.0
     if stream_ids is None:
-        stream_ids = [(_CALIBRATION_LANE << 40) | t for t in range(trials)]
+        stream_ids = [(LANE_CALIBRATION << 40) | t for t in range(trials)]
     streams = [SeededStream(seed, sid) for sid in stream_ids]
 
     def arl(b):

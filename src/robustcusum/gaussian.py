@@ -133,24 +133,6 @@ def sample_with(g: Gaussian, rng: np.random.Generator, n: int) -> np.ndarray:
     return z @ g.factor.T + g.mean
 
 
-def log_likelihood_ratio(xi, g0: Gaussian, g1: Gaussian) -> float:
-    """log p1(xi) - log p0(xi) for a pair sharing one covariance.
-
-    The equal-covariance restriction keeps this affine in xi; pairs with
-    different covariances are handled by quadratic detectors instead.
-    """
-    if g0.dim != g1.dim:
-        raise DimensionError("g1", g0.dim, g1.dim)
-    scale = max(float(np.linalg.norm(g0.covariance)), 1.0)
-    if float(np.linalg.norm(g0.covariance - g1.covariance)) > 1e-10 * scale:
-        raise ValueError("covariances differ beyond 1e-10; use a quadratic detector for unequal covariances")
-    xv = _as_vector(xi, g0.dim, "xi")
-    w0 = g0.whiten(g0.mean)
-    w1 = g0.whiten(g1.mean)
-    s = g0.solve_covariance(g1.mean - g0.mean)
-    return float(s @ xv) - 0.5 * (float(w1 @ w1) - float(w0 @ w0))
-
-
 def kl_divergence(ga: Gaussian, gb: Gaussian) -> float:
     """KL(ga || gb) in closed form."""
     if ga.dim != gb.dim:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .gaussian import Gaussian, symmetrize
+from .gaussian import Gaussian, mahalanobis_sq, symmetrize
 from .sets import VectorSet
 
 # Below this Mahalanobis gap the two uncertainty sets are treated as
@@ -44,22 +44,14 @@ class LfpSolution:
     residual: float
 
 
-class _CovOps:
-    """Solve helpers for one SPD covariance (factor cached, no inverse)."""
-
-    def __init__(self, sigma):
-        cov = symmetrize(sigma, what="covariance")
-        self.gaussian = Gaussian(np.zeros(cov.shape[0]), cov)
-        self.eigenvalues = np.linalg.eigvalsh(cov)
-        if self.eigenvalues[0] <= 0:
-            raise DomainError("covariance must be positive definite")
-
-    def solve(self, v):
-        return self.gaussian.solve_covariance(v)
-
-    def quad(self, v):
-        w = self.gaussian.whiten(v)
-        return float(w @ w)
+def _covariance(sigma) -> tuple[Gaussian, float]:
+    """N(0, sigma) and the smallest eigenvalue of sigma, which must be positive."""
+    cov = symmetrize(sigma, what="covariance")
+    g = Gaussian(np.zeros(cov.shape[0]), cov)
+    lam_min = float(np.linalg.eigvalsh(cov)[0])
+    if lam_min <= 0:
+        raise DomainError("covariance must be positive definite")
+    return g, lam_min
 
 
 def solve_lfp(
@@ -78,8 +70,8 @@ def solve_lfp(
     after `opts.max_iters` sweeps.
     """
     opts = opts or SolverOptions()
-    ops = _CovOps(sigma)
-    d = ops.gaussian.dim
+    cov, lam_min = _covariance(sigma)
+    d = cov.dim
     if m0.dim != d or m1.dim != d:
         raise DomainError(f"set dimensions ({m0.dim}, {m1.dim}) do not match covariance dimension {d}")
 
@@ -91,16 +83,16 @@ def solve_lfp(
         mu1 = m1.project(np.asarray(init[1], dtype=float))
 
     # lambda_max(Sigma^{-1}) = 1 / lambda_min(Sigma); joint Hessian norm is 4x.
-    lip = 4.0 / float(ops.eigenvalues[0])
+    lip = 4.0 / lam_min
     step = 1.0 / lip
 
     def objective(a, b):
-        return ops.quad(a - b)
+        return mahalanobis_sq(a, b, cov)
 
     value = objective(mu0, mu1)
     residual = math.inf
     for it in range(1, opts.max_iters + 1):
-        grad_half = 2.0 * ops.solve(mu0 - mu1)  # d/dmu0; d/dmu1 is its negation
+        grad_half = 2.0 * cov.solve_covariance(mu0 - mu1)  # d/dmu0; d/dmu1 is its negation
         nxt0 = m0.project(mu0 - step * grad_half)
         nxt1 = m1.project(mu1 + step * grad_half)
         residual = math.hypot(float(np.linalg.norm(nxt0 - mu0)), float(np.linalg.norm(nxt1 - mu1)))
@@ -158,8 +150,8 @@ def build_affine_detector(sol: LfpSolution, sigma) -> AffineDetector:
     """Assemble the affine detector of the solved pair."""
     if sol.delta_sq <= OVERLAP_TOL:
         raise DomainError("uncertainty sets overlap; change undetectable")
-    ops = _CovOps(sigma)
-    diff = sol.mu1_star - sol.mu0_star
-    a = -0.5 * ops.solve(diff)
-    c = 0.25 * (ops.quad(sol.mu1_star) - ops.quad(sol.mu0_star))
+    cov, _ = _covariance(sigma)
+    origin = np.zeros(cov.dim)
+    a = -0.5 * cov.solve_covariance(sol.mu1_star - sol.mu0_star)
+    c = 0.25 * (mahalanobis_sq(sol.mu1_star, origin, cov) - mahalanobis_sq(sol.mu0_star, origin, cov))
     return AffineDetector(a=a, c=c, epsilon_star=sol.epsilon_star)

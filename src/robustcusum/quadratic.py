@@ -73,30 +73,6 @@ class SingletonMean:
         return float(z @ y @ z), np.outer(z, z)
 
 
-@dataclass(frozen=True)
-class GeneralZ:
-    """Oracle seam for a general convex compact lift set.
-
-    `oracle` maps a symmetric (d+1)x(d+1) direction to (max value, attaining
-    member).  Members must be PSD with bottom-right entry 1.
-    """
-
-    oracle: object
-    dim: int
-
-    def support_with_argmax(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        value, z = self.oracle(y)
-        z = np.asarray(z, dtype=float)
-        n = self.dim + 1
-        if z.shape != (n, n):
-            raise DomainError(f"lift argmax must be {n}x{n}, got {z.shape}")
-        if abs(z[-1, -1] - 1.0) > 1e-9:
-            raise DomainError(f"lift argmax bottom-right entry must be 1, got {z[-1, -1]!r}")
-        if np.linalg.eigvalsh((z + z.T) / 2.0)[0] < -1e-9:
-            raise DomainError("lift argmax must be PSD")
-        return float(value), z
-
-
 def phi_support(lift, y) -> float:
     """Support function of the lift set: max over members Z of Tr(Z Y)."""
     ym = symmetrize(y, rel_tol=1e-9, what="Y")
@@ -199,10 +175,12 @@ class ClassSetup:
     the whitened basis every feasibility and objective computation works in.
     """
 
-    def __init__(self, uset: MatrixSet, lift, theta_star=None, delta=None):
+    def __init__(self, uset: MatrixSet, lift: SingletonMean, theta_star=None, delta=None):
         self.uset = uset
         self.lift = lift
-        if getattr(lift, "dim", uset.dim) != uset.dim:
+        if not isinstance(lift, SingletonMean):
+            raise DomainError(f"the mean lift must be a SingletonMean, got {type(lift).__name__}")
+        if lift.dim != uset.dim:
             raise DomainError(f"lift dimension {lift.dim} does not match set dimension {uset.dim}")
         self.theta_star = (
             symmetrize(theta_star, what="theta_star") if theta_star is not None else default_theta_star(uset)
@@ -419,7 +397,7 @@ class _SaddleProblem:
         return val, 0.5 * (ga1 - ga0), 0.5 * (gA1 - gA0)
 
     def exact_h(self, big_h):
-        """argmin over h of the objective at fixed H (singleton lifts only).
+        """argmin over h of the objective at fixed H.
 
         The h-dependence is quadratic with Hessian (R0^{-1} + R1^{-1}) / 2,
         independent of the Theta chosen in the linear term.
@@ -438,9 +416,6 @@ class _SaddleProblem:
         if np.max(np.abs(lam)) >= 1.0 - _DOMAIN_MARGIN:
             raise DomainError("detector matrix outside the feasible domain")
         return setup.sqrt @ (q / (1.0 - lam)) @ q.T @ setup.sqrt
-
-    def singleton_lifts(self):
-        return isinstance(self.s0.lift, SingletonMean) and isinstance(self.s1.lift, SingletonMean)
 
     def dual_lower_bound(self, h, big_h, gh, gH, value):
         """Certified lower bound on min over the feasible set at fixed Thetas.
@@ -471,7 +446,7 @@ class _SaddleProblem:
         best = max(best, base - float(np.sum(gH * gH)) / (2.0 * mu))
         return best
 
-    def inner_min(self, th0, th1, h0, big_h0, max_iters):
+    def inner_min(self, th0, th1, big_h0, max_iters):
         """Minimize at fixed Thetas; returns (value, h, H, certified bound).
 
         Projected gradient with an Armijo sufficient-decrease test on the
@@ -479,7 +454,7 @@ class _SaddleProblem:
         still decreases the value (numerical stationarity).
         """
         big_h = self.project(big_h0)
-        h = self.exact_h(big_h) if self.singleton_lifts() else np.array(h0, dtype=float)
+        h = self.exact_h(big_h)
         val, gh, gH = self.f_fixed(h, big_h, th0, th1)
         step = 1.0
         scale = 1.0 + float(np.linalg.norm(big_h))
@@ -490,10 +465,7 @@ class _SaddleProblem:
                 move = float(np.linalg.norm(cand_h_mat - big_h))
                 if move <= 1e-15 * scale:
                     break  # projected step is numerically a no-op
-                if self.singleton_lifts():
-                    cand_h = self.exact_h(cand_h_mat)
-                else:
-                    cand_h = h - step * gh
+                cand_h = self.exact_h(cand_h_mat)
                 cand_val, cand_gh, cand_gH = self.f_fixed(cand_h, cand_h_mat, th0, th1)
                 if cand_val <= val - 1e-4 * move * move / step:
                     h, big_h, val, gh, gH = cand_h, cand_h_mat, cand_val, cand_gh, cand_gH
@@ -521,8 +493,6 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
     if setup0.dim != setup1.dim:
         raise DomainError(f"class dimensions differ: {setup0.dim} vs {setup1.dim}")
     prob = _SaddleProblem(setup0, setup1, beta, opts.projection_rounds)
-    if not prob.singleton_lifts():
-        raise DomainError("solve_saddle currently requires singleton mean lifts for both classes")
     d = setup0.dim
 
     h = np.zeros(d)
@@ -543,7 +513,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
             best = {"h": cand_h, "H": cand_H, "g": v, "th0": t0, "th1": t1}
         return v
 
-    warm = [None, None]  # per-candidate inner warm starts
+    warm = [None, None]  # per-candidate inner warm starts for H
 
     def certify():
         """Refresh the certified lower bound; may also improve the primal."""
@@ -553,9 +523,9 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
             (sum_th0 / n_avg, sum_th1 / n_avg),
         ]
         for slot, (c_th0, c_th1) in enumerate(candidates):
-            wh, wH = warm[slot] if warm[slot] is not None else (best["h"], best["H"])
-            _, ih, iH, bound = prob.inner_min(c_th0, c_th1, wh, wH, opts.inner_max_iters)
-            warm[slot] = (ih, iH)
+            warm_H = warm[slot] if warm[slot] is not None else best["H"]
+            _, ih, iH, bound = prob.inner_min(c_th0, c_th1, warm_H, opts.inner_max_iters)
+            warm[slot] = iH
             q_best = max(q_best, bound)
             consider(ih, iH)
         gap = best["g"] - q_best

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .gaussian import symmetrize
-
-
-def _vec(x, d, what="x"):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != d:
-        raise DimensionError(what, d, v.shape)
-    return v
+from .gaussian import _as_vector, symmetrize
 
 
 def _frozen_array(a):
@@ -66,11 +59,11 @@ class SingletonVector(VectorSet):
         return self.point.shape[0]
 
     def project(self, x):
-        _vec(x, self.dim)
+        _as_vector(x, self.dim, "x")
         return self.point.copy()
 
     def contains(self, x, tol=1e-9):
-        return float(np.linalg.norm(_vec(x, self.dim) - self.point)) <= tol
+        return float(np.linalg.norm(_as_vector(x, self.dim, "x") - self.point)) <= tol
 
     def sample_member(self, rng):
         return self.point.copy()
@@ -91,14 +84,14 @@ class L2Ball(VectorSet):
         return self.center.shape[0]
 
     def project(self, x):
-        y = _vec(x, self.dim) - self.center
+        y = _as_vector(x, self.dim, "x") - self.center
         n = float(np.linalg.norm(y))
         if n <= self.radius:
             return np.asarray(x, dtype=float).copy()
         return self.center + (self.radius / n) * y
 
     def contains(self, x, tol=1e-9):
-        return float(np.linalg.norm(_vec(x, self.dim) - self.center)) <= self.radius + tol
+        return float(np.linalg.norm(_as_vector(x, self.dim, "x") - self.center)) <= self.radius + tol
 
     def sample_member(self, rng):
         dir_ = rng.standard_normal(self.dim)
@@ -122,7 +115,7 @@ class L1Ball(VectorSet):
         return self.center.shape[0]
 
     def project(self, x):
-        y = _vec(x, self.dim) - self.center
+        y = _as_vector(x, self.dim, "x") - self.center
         if float(np.sum(np.abs(y))) <= self.radius:
             return np.asarray(x, dtype=float).copy()
         # Exact soft-threshold: sort |y| and find the largest active prefix.
@@ -137,7 +130,7 @@ class L1Ball(VectorSet):
         return self.center + np.sign(y) * np.maximum(a - tau, 0.0)
 
     def contains(self, x, tol=1e-9):
-        return float(np.sum(np.abs(_vec(x, self.dim) - self.center))) <= self.radius + tol
+        return float(np.sum(np.abs(_as_vector(x, self.dim, "x") - self.center))) <= self.radius + tol
 
     def sample_member(self, rng):
         # Uniform-ish interior point: Dirichlet split of a sub-radius mass.
@@ -167,10 +160,10 @@ class Box(VectorSet):
         return self.lower.shape[0]
 
     def project(self, x):
-        return np.clip(_vec(x, self.dim), self.lower, self.upper)
+        return np.clip(_as_vector(x, self.dim, "x"), self.lower, self.upper)
 
     def contains(self, x, tol=1e-9):
-        v = _vec(x, self.dim)
+        v = _as_vector(x, self.dim, "x")
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
     def sample_member(self, rng):

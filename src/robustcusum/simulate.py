@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, ScenarioConfig, build_matrix_set, build_vector_set, matrix_payload, vector_payload
-from .cusum import GaussianSource, alarm_times_gaussian, calibrate_threshold_mc, run_until_alarm, threshold_from_gamma
+from .cusum import LANE_CALIBRATION, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
 from .errors import DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence, sample
 from .lfp import AffineDetector, SolverOptions, build_affine_detector, solve_lfp
@@ -30,7 +30,7 @@ from .quadratic import ClassSetup, SaddleOptions, SingletonMean, build_quadratic
 
 LANE_ARL = 1
 LANE_WDD = 2
-LANE_CALIBRATION = 3
+# LANE_CALIBRATION (3) is defined in cusum, whose default calibration streams use it
 LANE_VERIFY = 4
 LANE_DESIGN = 6
 
@@ -100,18 +100,30 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def render_table(header, rows, fmt: str) -> str:
+    """Header plus rows of string cells, as CSV (fmt "csv") or as a
+    right-aligned table for eyeballing (fmt "human")."""
+    all_rows = [list(header)] + [list(r) for r in rows]
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in all_rows) + "\n"
+    widths = [max(len(r[j]) for r in all_rows) for j in range(len(header))]
+    out = []
+    for i, row in enumerate(all_rows):
+        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        if i == 0:
+            out.append("  ".join("-" * w for w in widths))
+    return "\n".join(out) + "\n"
+
+
 def to_csv(reports) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = [[_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in reports]
+    return render_table(CSV_COLUMNS, rows, "csv")
 
 
 def render_human(reports) -> str:
     """Aligned table for eyeballing; CSV is the machine format."""
     float_cols = {"gamma", "b", "epsilon_star", "arl_mean", "arl_se", "wdd_mean", "wdd_sd", "censored_fraction"}
-    headers = list(CSV_COLUMNS) + ["efficiency_factor"]
-    rows = [headers]
+    rows = []
     for r in reports:
         row = []
         for col in CSV_COLUMNS:
@@ -122,13 +134,7 @@ def render_human(reports) -> str:
                 row.append(_fmt(value))
         row.append("-" if r.efficiency_factor is None else f"{r.efficiency_factor:.4g}")
         rows.append(row)
-    widths = [max(len(row[j]) for row in rows) for j in range(len(headers))]
-    out = []
-    for i, row in enumerate(rows):
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if i == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
+    return render_table(list(CSV_COLUMNS) + ["efficiency_factor"], rows, "human")
 
 
 def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, seed: int, *, scenario_index: int = 0, threads: int = 1):
@@ -149,31 +155,22 @@ def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, s
 
 
 def _delay_times(detector, b: float, horizon: int, trials: int, seed: int, scenario_index: int, draw, threads: int = 1) -> np.ndarray:
-    """Alarm times from the reset state under per-trial post-change laws.
+    """Alarm times from the reset state, one delay-lane stream per trial;
+    `draw(rng) -> Gaussian` gives each trial its post-change law."""
+    streams = [SeededStream(seed, stream_id(scenario_index, LANE_WDD, i)) for i in range(trials)]
+    return alarm_times(detector, draw, streams, b, horizon, threads=threads)
 
-    `draw(rng) -> Gaussian` may consume the trial's generator before the
-    observations do, so parameter draws and sample paths share one substream.
-    """
-    out = np.empty(trials, dtype=np.int64)
 
-    def run_range(lo, hi):
-        for i in range(lo, hi):
-            rng = SeededStream(seed, stream_id(scenario_index, LANE_WDD, i)).generator()
-            gaussian = draw(rng)
-            source = GaussianSource(gaussian, stream=None, rng=rng)
-            res = run_until_alarm(detector, source, b, horizon)
-            out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
-
-    if threads <= 1 or trials < 2:
-        run_range(0, trials)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(threads, trials)
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: run_range(ab[0], ab[1]), zip(bounds[:-1], bounds[1:])))
-    return out
+def delay_summary(times: np.ndarray, horizon: int):
+    """(mean, sd, censored count) of delays; trials censored past the horizon
+    are excluded.  Both moments are nan when no trial is kept; the sd of a
+    single kept trial is 0."""
+    kept = times[times <= horizon].astype(float)
+    censored = int(times.size - kept.size)
+    if kept.size == 0:
+        return math.nan, math.nan, censored
+    sd = float(np.std(kept, ddof=1)) if kept.size > 1 else 0.0
+    return float(np.mean(kept)), sd, censored
 
 
 def estimate_wdd(detector, b: float, scenario: ChangeScenario, trials: int, seed: int, *, horizon: int = 10_000, scenario_index: int = 0, threads: int = 1):
@@ -187,14 +184,10 @@ def estimate_wdd(detector, b: float, scenario: ChangeScenario, trials: int, seed
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
     times = _delay_times(detector, b, horizon, trials, seed, scenario_index, lambda rng: scenario.nu1_true, threads)
-    kept = times[times <= horizon].astype(float)
-    n_censored = trials - kept.size
+    mean, sd, n_censored = delay_summary(times, horizon)
     if n_censored:
         warnings.warn(f"{n_censored}/{trials} delay trials censored at horizon {horizon} and excluded", stacklevel=2)
-    if kept.size == 0:
-        return math.nan, math.nan
-    sd = float(np.std(kept, ddof=1)) if kept.size > 1 else 0.0
-    return float(np.mean(kept)), sd
+    return mean, sd
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +278,14 @@ class PreparedScenario:
     post_draw: object  # draw(rng) -> Gaussian, per-trial true post-change law
     baseline_post: Gaussian
     solution: object
+    # (mean, covariance) per class: a mean shift pairs each class's VectorSet
+    # with the shared covariance, a covariance shift pairs each class's fixed
+    # mean with its MatrixSet
+    classes: tuple
+
+    @property
+    def procedures(self):
+        return (("robust", self.robust_detector), ("baseline", self.baseline_detector))
 
 
 def _resolve_cov_spec(spec, u1, d, rng):
@@ -337,7 +338,8 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
 
         eps = sol.epsilon_star
         efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
-        return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol)
+        classes = ((m0, sigma), (m1, sigma))
+        return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol, classes)
 
     # covariance shift
     u0 = build_matrix_set(raw["u0"], d)
@@ -370,15 +372,13 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
 
     eps = sol.epsilon_star
     efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
-    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol)
+    classes = ((mean0, u0), (mean1, u1))
+    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol, classes)
 
 
-def _pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
-    if cfg.threshold_mode == "theoretical":
-        eps = getattr(detector, "epsilon_star", None)
-        if eps is not None and 0.0 < eps < 1.0:
-            return threshold_from_gamma(cfg.gamma, eps)
-        return math.log(cfg.gamma)  # classic CUSUM guideline for the fully specified baseline
+def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
+    """Monte Carlo threshold under the true pre-change law; each procedure
+    calibrates on its own block of the scenario's calibration lane."""
     if progress:
         progress(f"{prep.config.name}/{procedure}: calibrating threshold")
     lane_offset = 0 if procedure == "robust" else 1 << 30
@@ -396,51 +396,60 @@ def _pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, pro
     )
 
 
+def pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
+    """The threshold the config's `threshold_mode` asks for."""
+    if cfg.threshold_mode == "theoretical":
+        return certified_threshold(cfg.gamma, detector)
+    return calibrated_threshold(cfg, prep, detector, procedure, threads=threads, progress=progress)
+
+
+def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 1, progress=None) -> list[RunReport]:
+    """Prepare one scenario and evaluate both procedures; one report each."""
+    prep = prepare_scenario(cfg, scen, progress=progress)
+    reports = []
+    for procedure, detector in prep.procedures:
+        b = pick_threshold(cfg, prep, detector, procedure, threads=threads, progress=progress)
+        if progress:
+            progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
+        # both procedures reuse the same per-trial streams: each trial draws
+        # one true parameter and one path, evaluated by both detectors
+        arl_mean, arl_se, censored = estimate_arl(
+            detector, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
+            scenario_index=scen.index,
+            threads=threads,
+        )
+        if progress:
+            progress(f"{scen.name}/{procedure}: delays")
+        n_delay = scen.delay_trials(cfg.delay_trials)
+        times = _delay_times(
+            detector, b, cfg.delay_horizon, n_delay, cfg.seed,
+            scen.index,
+            prep.post_draw,
+            threads,
+        )
+        wdd_mean, wdd_sd, _ = delay_summary(times, cfg.delay_horizon)
+        reports.append(
+            RunReport(
+                scenario=scen.name,
+                procedure=procedure,
+                d=cfg.dimension,
+                gamma=cfg.gamma,
+                b=b,
+                epsilon_star=prep.epsilon_star if procedure == "robust" else None,
+                arl_mean=arl_mean,
+                arl_se=arl_se,
+                wdd_mean=wdd_mean,
+                wdd_sd=wdd_sd,
+                censored_fraction=censored,
+                trials=n_delay,
+                seed=cfg.seed,
+                efficiency_factor=prep.efficiency_factor if procedure == "robust" else None,
+            )
+        )
+    return reports
+
+
 def run_experiment(cfg: ExperimentConfig, *, threads: int = 1, progress=None) -> list[RunReport]:
     """Run every configured scenario with both procedures; one report per
     (scenario, procedure) pair, in configuration order."""
-    reports = []
-    for scen in cfg.scenarios:
-        prep = prepare_scenario(cfg, scen, progress=progress)
-        for procedure, detector in (("robust", prep.robust_detector), ("baseline", prep.baseline_detector)):
-            b = _pick_threshold(cfg, prep, detector, procedure, threads=threads, progress=progress)
-            if progress:
-                progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
-            # both procedures reuse the same per-trial streams: each trial draws
-            # one true parameter and one path, evaluated by both detectors
-            arl_mean, arl_se, censored = estimate_arl(
-                detector, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
-                scenario_index=scen.index,
-                threads=threads,
-            )
-            if progress:
-                progress(f"{scen.name}/{procedure}: delays")
-            n_delay = scen.delay_trials(cfg.delay_trials)
-            times = _delay_times(
-                detector, b, cfg.delay_horizon, n_delay, cfg.seed,
-                scen.index,
-                prep.post_draw,
-                threads,
-            )
-            kept = times[times <= cfg.delay_horizon].astype(float)
-            wdd_mean = float(np.mean(kept)) if kept.size else math.nan
-            wdd_sd = float(np.std(kept, ddof=1)) if kept.size > 1 else 0.0
-            reports.append(
-                RunReport(
-                    scenario=scen.name,
-                    procedure=procedure,
-                    d=cfg.dimension,
-                    gamma=cfg.gamma,
-                    b=b,
-                    epsilon_star=prep.epsilon_star if procedure == "robust" else None,
-                    arl_mean=arl_mean,
-                    arl_se=arl_se,
-                    wdd_mean=wdd_mean,
-                    wdd_sd=wdd_sd,
-                    censored_fraction=censored,
-                    trials=n_delay,
-                    seed=cfg.seed,
-                    efficiency_factor=prep.efficiency_factor if procedure == "robust" else None,
-                )
-            )
-    return reports
+    return [r for scen in cfg.scenarios for r in run_scenario(cfg, scen, threads=threads, progress=progress)]

@@ -162,3 +162,56 @@ def test_thread_env_var_sets_default_but_flag_wins(monkeypatch):
     assert args.threads == 3
     args = build_parser().parse_args(["arl", "--config", "x.cfg", "--threads", "5"])
     assert args.threads == 5
+
+
+def test_experiment_unknown_scenario_exits_one(mini_cfg):
+    code, out, err = run_cli(["experiment", "--config", mini_cfg, "--scenario", "nope", "--quiet"])
+    assert code == 1 and out == ""
+    assert "no scenario named 'nope'" in err
+
+
+def test_experiment_scenario_filter_matches_full_run(mini_cfg):
+    argv = ["experiment", "--config", mini_cfg, "--quiet", "--threads", "1"]
+    _, full, _ = run_cli(argv)
+    code, one, _ = run_cli(argv + ["--scenario", "cov_row"])
+    assert code == 0
+    lines = full.splitlines(keepends=True)
+    assert one == "".join([lines[0]] + [line for line in lines[1:] if line.startswith("cov_row,")])
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "1"), ("--members", "0"), ("--members", "x")])
+def test_verify_rejects_degenerate_counts(mini_cfg, flag, value):
+    code, out, err = run_cli(["verify", "--config", mini_cfg, "--quiet", flag, value])
+    assert code == 1 and out == ""
+    assert "usage" in err and f"argument {flag}" in err
+
+
+def test_edd_all_censored_reports_nan_moments(tmp_path):
+    raw = {
+        "dimension": 3,
+        "gamma": 1e6,  # b far above anything one observation can add
+        "arl_trials": 100,
+        "delay_trials": 100,
+        "seed": 5,
+        "threshold_mode": "theoretical",
+        "delay_horizon": 1,
+        "scenarios": [
+            {
+                "name": "mean_row",
+                "kind": "mean_shift",
+                "m0": {"variant": "singleton", "point": "zeros"},
+                "m1": {"variant": "l1_ball", "center": "ones", "radius": 1.5},
+                "sigma": "identity",
+                "true_post_mean": {"kind": "uniform_entries", "low": 0.1, "high": 0.5},
+                "baseline": {"post_mean": "ones"},
+            }
+        ],
+    }
+    path = tmp_path / "censored.cfg"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(["edd", "--config", str(path), "--quiet", "--threads", "1"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ["robust", "baseline"]
+    for row in rows:
+        assert row[3:] == ["nan", "nan", "100"]

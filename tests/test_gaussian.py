@@ -10,7 +10,7 @@ from robustcusum import (
     NotPositiveDefiniteError,
     SeededStream,
     kl_divergence,
-    log_likelihood_ratio,
+    llr_detector,
     mahalanobis_sq,
     sample,
 )
@@ -105,20 +105,11 @@ def test_sample_requires_positive_count():
 
 
 def test_log_likelihood_ratio_hand_cases():
-    g0 = Gaussian([0.0], [[1.0]])
-    g1 = Gaussian([2.0], [[1.0]])
-    assert log_likelihood_ratio([1.0], g0, g1) == pytest.approx(0.0, abs=1e-12)
-    assert log_likelihood_ratio([2.0], g0, g1) == pytest.approx(2.0, abs=1e-12)
-    h0 = Gaussian(np.zeros(2), np.eye(2))
-    h1 = Gaussian(np.ones(2), np.eye(2))
-    assert log_likelihood_ratio([0.0, 0.0], h0, h1) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_log_likelihood_ratio_requires_shared_covariance():
-    g0 = Gaussian([0.0], [[1.0]])
-    g1 = Gaussian([1.0], [[1.0 + 1e-6]])
-    with pytest.raises(ValueError, match="covariance"):
-        log_likelihood_ratio([0.0], g0, g1)
+    # the CUSUM increment of the classic detector is log p1(xi) - log p0(xi)
+    llr = llr_detector(Gaussian([0.0], [[1.0]]), Gaussian([2.0], [[1.0]])).increments
+    assert llr([[1.0], [2.0]]).tolist() == pytest.approx([0.0, 2.0], abs=1e-12)
+    llr = llr_detector(Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.ones(2), np.eye(2))).increments
+    assert llr([[0.0, 0.0]]).tolist() == pytest.approx([-1.0], abs=1e-12)
 
 
 def test_kl_divergence_cases():

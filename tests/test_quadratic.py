@@ -8,7 +8,6 @@ from robustcusum import (
     ClassSetup,
     DomainError,
     Gaussian,
-    GeneralZ,
     MatrixInterval,
     SeededStream,
     SingletonMean,
@@ -83,15 +82,6 @@ def test_phi_support_singleton_zero_mean_reads_corner():
 def test_phi_support_singleton_hand_case():
     lift = SingletonMean(np.array([1.0, 0.0]))
     assert phi_support(lift, np.eye(3)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_general_z_oracle_validated():
-    ok = GeneralZ(lambda y: (0.0, np.diag([0.0, 0.0, 1.0])), dim=2)
-    val, z = ok.support_with_argmax(np.zeros((3, 3)))
-    assert z[-1, -1] == 1.0
-    bad = GeneralZ(lambda y: (0.0, np.diag([0.0, 0.0, 2.0])), dim=2)
-    with pytest.raises(DomainError, match="bottom-right"):
-        bad.support_with_argmax(np.zeros((3, 3)))
 
 
 # -- bounding function ------------------------------------------------------
@@ -367,10 +357,14 @@ def test_class_setup_rejects_uncovered_delta():
         ClassSetup(SpectralBall(0.5, 2), SingletonMean(np.zeros(2)), theta_star=0.5 * np.eye(2), delta=0.1)
 
 
-def test_solve_saddle_requires_singleton_lifts():
-    d = 2
-    oracle = GeneralZ(lambda y: (float(y[-1, -1]), np.diag([0.0, 0.0, 1.0])), dim=d)
-    s0 = ClassSetup(SingletonPSD(np.eye(d)), oracle)
-    s1 = _singleton_setup(d)
-    with pytest.raises(DomainError, match="singleton"):
-        solve_saddle(s0, s1)
+class _CornerLift:
+    # a valid lift oracle for d=2 ({e_3 e_3^T}), but not a singleton mean
+    dim = 2
+
+    def support_with_argmax(self, y):
+        return float(y[-1, -1]), np.diag([0.0, 0.0, 1.0])
+
+
+def test_class_setup_rejects_non_singleton_lift():
+    with pytest.raises(DomainError, match="SingletonMean"):
+        ClassSetup(SingletonPSD(np.eye(2)), _CornerLift())

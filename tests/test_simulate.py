@@ -21,7 +21,7 @@ from robustcusum import (
     to_csv,
     verify_detector_bounds,
 )
-from robustcusum.simulate import CSV_COLUMNS, _delay_times, render_human
+from robustcusum.simulate import CSV_COLUMNS, _delay_times, delay_summary, render_human
 
 
 class ConstantDetector:
@@ -79,9 +79,6 @@ def test_estimate_arl_censors_at_horizon():
 
 
 def test_estimate_arl_reproducible():
-    det = ConstantDetector(0.0)
-    a = estimate_arl(det, 1.0, NU, trials=100, horizon=200, seed=42)
-    # constant-zero increments never cross: exercise a real detector instead
     sol = solve_lfp(SingletonVector(np.zeros(1)), SingletonVector(np.array([0.6])), np.eye(1))
     det = build_affine_detector(sol, np.eye(1))
     a = estimate_arl(det, 2.0, NU, trials=100, horizon=5000, seed=42)
@@ -108,6 +105,13 @@ def test_estimate_wdd_excludes_censored_with_warning():
     with pytest.warns(UserWarning, match="censored"):
         mean, sd = estimate_wdd(ConstantDetector(-1.0), 5.0, scen, trials=100, seed=0, horizon=50)
     assert math.isnan(mean)
+
+
+def test_delay_summary_censoring_edges():
+    mean, sd, censored = delay_summary(np.array([51, 60]), 50)
+    assert math.isnan(mean) and math.isnan(sd) and censored == 2
+    assert delay_summary(np.array([7, 51]), 50) == (7.0, 0.0, 1)
+    assert delay_summary(np.array([4, 6, 51]), 50) == (5.0, math.sqrt(2.0), 1)
 
 
 def test_change_scenario_validation():
