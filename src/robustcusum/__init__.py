@@ -40,7 +40,6 @@ from .quadratic import (
     default_theta_star,
     eval_phi_big,
     llr_detector,
-    phi_support,
     solve_saddle,
 )
 from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall

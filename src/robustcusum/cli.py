@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .config import bundled_config_path, parse_config
+from .config import load_bundled_config, load_config
 from .cusum import certified_threshold
 from .errors import CalibrationError, ConfigError, ConvergenceError, RobustCusumError
 from .gaussian import Gaussian, SeededStream
@@ -53,16 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ROBUSTCUSUM_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _int_at_least(low: int):
     def parse(text):
         try:
@@ -81,11 +71,13 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", choices=_FORMATS, default="csv")
+    # a string default goes through `type` too, so one check covers the
+    # flag and the environment variable
     sub.add_argument(
         "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for Monte Carlo trials (default: ROBUSTCUSUM_THREADS or available parallelism)",
+        type=_int_at_least(1),
+        default=os.environ.get("ROBUSTCUSUM_THREADS", str(os.cpu_count() or 1)),
+        help="worker threads for Monte Carlo trials, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism)",
     )
     sub.add_argument("--quiet", action="store_true", help="suppress progress messages on stderr")
     sub.add_argument("--scenario", default=None, help="restrict to one scenario by name")
@@ -132,15 +124,12 @@ class _Progress:
 def _load(args):
     path = args.config
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        cfg = load_config(path)
     else:
         try:
-            bundled = bundled_config_path(path)
-            text = bundled.read_text(encoding="utf-8")
+            cfg = load_bundled_config(path)
         except (FileNotFoundError, ModuleNotFoundError):
             raise ConfigError([f"config: no such file or bundled config '{path}'"]) from None
-        cfg = parse_config(text)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg

@@ -17,18 +17,21 @@ from importlib import resources
 
 import numpy as np
 
+from .cusum import ARL_HORIZON_FACTOR, DEFAULT_DELAY_HORIZON, MIN_TRIALS
 from .errors import ConfigError
+from .lfp import SolverOptions
+from .quadratic import DEFAULT_BETA, SaddleOptions
 from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall
 
 THRESHOLD_MODES = ("theoretical", "calibrated")
 SCENARIO_KINDS = ("mean_shift", "covariance_shift")
 
 _SOLVER_DEFAULTS = {
-    "lfp_tol": 1e-9,
-    "lfp_max_iters": 200_000,
-    "beta": 0.99,
-    "gap_tol": 1e-4,
-    "saddle_max_iters": 20_000,
+    "lfp_tol": SolverOptions.tol,
+    "lfp_max_iters": SolverOptions.max_iters,
+    "beta": DEFAULT_BETA,
+    "gap_tol": SaddleOptions.gap_tol,
+    "saddle_max_iters": SaddleOptions.max_iters,
 }
 
 
@@ -295,11 +298,11 @@ class ExperimentConfig:
 
     @property
     def arl_horizon(self) -> int:
-        return int(round(self.raw.get("arl_horizon_factor", 50) * self.gamma))
+        return int(round(self.raw.get("arl_horizon_factor", ARL_HORIZON_FACTOR) * self.gamma))
 
     @property
     def delay_horizon(self) -> int:
-        return self.raw.get("delay_horizon", 10_000)
+        return self.raw.get("delay_horizon", DEFAULT_DELAY_HORIZON)
 
     @property
     def solver(self) -> dict:
@@ -329,7 +332,7 @@ def _validate(doc) -> list[str]:
         v.number(doc, "document", "gamma", exclusive_minimum=1.0)
     for key in ("arl_trials", "delay_trials"):
         if key in doc:
-            v.integer(doc, "document", key, minimum=100)
+            v.integer(doc, "document", key, minimum=MIN_TRIALS)
     if "seed" in doc:
         v.integer(doc, "document", "seed", minimum=0)
     if "threshold_mode" in doc and doc["threshold_mode"] not in THRESHOLD_MODES:
@@ -390,7 +393,7 @@ def _validate_scenario(scen, d, path, v: _Validator, names: set):
     else:
         names.add(name)
     if "delay_trials" in scen:
-        v.integer(scen, path, "delay_trials", minimum=100)
+        v.integer(scen, path, "delay_trials", minimum=MIN_TRIALS)
 
     if kind == "mean_shift":
         m0 = _build_vector_set(scen["m0"], d, f"{path}.m0", v)

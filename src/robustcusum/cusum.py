@@ -32,6 +32,16 @@ _DEFAULT_BLOCK = 1024
 # stream_id lane reserved for calibration trials (see simulate.stream_id)
 LANE_CALIBRATION = 3
 
+# fewest trials a Monte Carlo estimate (ARL, delay, calibration) accepts
+MIN_TRIALS = 100
+# default censoring: ARL runs at ARL_HORIZON_FACTOR * gamma steps, delay runs
+# at DEFAULT_DELAY_HORIZON steps
+ARL_HORIZON_FACTOR = 50
+DEFAULT_DELAY_HORIZON = 10_000
+# calibration accepts a threshold whose ARL is within this fraction of gamma
+_CALIBRATION_REL_TOL = 0.05
+_MAX_BISECTIONS = 60
+
 
 @dataclass(frozen=True)
 class CusumState:
@@ -57,7 +67,6 @@ def step(state: CusumState, increment: float) -> CusumState:
 @dataclass(frozen=True)
 class StoppingResult:
     alarm_time: int | None  # None when censored at the horizon
-    horizon: int
     final_statistic: float
     increments_consumed: int
 
@@ -151,10 +160,10 @@ def run_until_alarm(detector, source, b: float, horizon: int, *, block: int = _D
         hit, stat = _scan_block(increments, carry, b)
         if hit is not None:
             consumed += hit + 1
-            return StoppingResult(alarm_time=consumed, horizon=horizon, final_statistic=stat, increments_consumed=consumed)
+            return StoppingResult(alarm_time=consumed, final_statistic=stat, increments_consumed=consumed)
         carry = max(stat, 0.0)
         consumed += n
-    return StoppingResult(alarm_time=None, horizon=horizon, final_statistic=carry, increments_consumed=consumed)
+    return StoppingResult(alarm_time=None, final_statistic=carry, increments_consumed=consumed)
 
 
 def certified_threshold(gamma: float, detector) -> float:
@@ -166,7 +175,7 @@ def certified_threshold(gamma: float, detector) -> float:
     return math.log(gamma)
 
 
-def alarm_times(detector, draw, streams, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK, threads: int = 1) -> np.ndarray:
+def alarm_times(detector, draw, streams, b: float, horizon: int, *, threads: int = 1) -> np.ndarray:
     """Alarm time per trial stream (horizon + 1 marks a censored run).
 
     Trial i runs on `streams[i].generator()`.  `draw(rng) -> Gaussian` may
@@ -182,7 +191,7 @@ def alarm_times(detector, draw, streams, b: float, horizon: int, *, block: int =
     def run_range(lo, hi):
         for i in range(lo, hi):
             rng = streams[i].generator()
-            res = run_until_alarm(detector, GaussianSource(draw(rng), rng=rng), b, horizon, block=block)
+            res = run_until_alarm(detector, GaussianSource(draw(rng), rng=rng), b, horizon)
             out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
 
     if threads <= 1 or n < 2:
@@ -197,9 +206,9 @@ def alarm_times(detector, draw, streams, b: float, horizon: int, *, block: int =
     return out
 
 
-def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK, threads: int = 1) -> np.ndarray:
+def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int, *, threads: int = 1) -> np.ndarray:
     """`alarm_times` with every trial observing the one law `gaussian`."""
-    return alarm_times(detector, lambda rng: gaussian, streams, b, horizon, block=block, threads=threads)
+    return alarm_times(detector, lambda rng: gaussian, streams, b, horizon, threads=threads)
 
 
 def calibrate_threshold_mc(
@@ -210,24 +219,22 @@ def calibrate_threshold_mc(
     seed: int,
     *,
     horizon: int | None = None,
-    rel_tol: float = 0.05,
-    max_bisections: int = 60,
     threads: int = 1,
     stream_ids=None,
     progress=None,
 ) -> float:
-    """Bisect on b until the Monte Carlo ARL under nu0 is within rel_tol of gamma.
+    """Bisect on b until the Monte Carlo ARL under nu0 is within 5 % of gamma.
 
-    Censored runs count at the horizon (default 50 * gamma), which biases the
-    ARL estimate downward, so the calibrated threshold errs conservative.
-    Every evaluation reuses the same per-trial streams (common random
-    numbers), making the estimated ARL monotone in b.
+    Censored runs count at the horizon (default ARL_HORIZON_FACTOR * gamma),
+    which biases the ARL estimate downward, so the calibrated threshold errs
+    conservative.  Every evaluation reuses the same per-trial streams (common
+    random numbers), making the estimated ARL monotone in b.
     """
-    if trials < 100:
-        raise DomainError(f"calibration needs at least 100 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise DomainError(f"calibration needs at least {MIN_TRIALS} trials, got {trials}")
     if not gamma > 1.0:
         raise DomainError(f"gamma must be > 1, got {gamma}")
-    horizon = int(horizon if horizon is not None else round(50 * gamma))
+    horizon = int(horizon if horizon is not None else round(ARL_HORIZON_FACTOR * gamma))
     b_theory = certified_threshold(gamma, detector)
     lo, hi = 0.1 * b_theory, 2.0 * b_theory + 10.0
     if stream_ids is None:
@@ -239,7 +246,7 @@ def calibrate_threshold_mc(
         return float(np.mean(np.minimum(times, horizon)))
 
     arl_lo = arl(lo)
-    if abs(arl_lo - gamma) <= rel_tol * gamma:
+    if abs(arl_lo - gamma) <= _CALIBRATION_REL_TOL * gamma:
         return lo
     arl_hi = arl(hi)
     if arl_lo > gamma or arl_hi < gamma:
@@ -248,19 +255,19 @@ def calibrate_threshold_mc(
             arl_low=arl_lo,
             arl_high=arl_hi,
         )
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         val = arl(mid)
         if progress is not None:
             progress(f"calibration: b={mid:.5g} ARL={val:.1f} target={gamma:g}")
-        if abs(val - gamma) <= rel_tol * gamma:
+        if abs(val - gamma) <= _CALIBRATION_REL_TOL * gamma:
             return mid
         if val > gamma:
             hi = mid
         else:
             lo = mid
     raise CalibrationError(
-        f"bisection did not settle within {max_bisections} rounds (last bracket [{lo:.5g}, {hi:.5g}])",
+        f"bisection did not settle within {_MAX_BISECTIONS} rounds (last bracket [{lo:.5g}, {hi:.5g}])",
         arl_low=None,
         arl_high=None,
     )

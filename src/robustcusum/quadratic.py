@@ -44,6 +44,14 @@ _DOMINATION_TOL = 1e-9
 # sigma grid used to audit interval sets; endpoints included.
 _INTERVAL_DELTA_GRID = 17
 
+DEFAULT_BETA = 0.99  # whitened spectral bound on the detector matrix, in (0, 1)
+# saddle solver: outer iterations between certificates, steps per fixed-Theta
+# inner minimization, cyclic-projection sweeps and their stopping tolerance
+_CHECK_EVERY = 250
+_INNER_MAX_ITERS = 4_000
+_PROJECTION_ROUNDS = 50
+_PROJECTION_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # mean lifts
@@ -71,13 +79,6 @@ class SingletonMean:
     def support_with_argmax(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         z = self.lifted()
         return float(z @ y @ z), np.outer(z, z)
-
-
-def phi_support(lift, y) -> float:
-    """Support function of the lift set: max over members Z of Tr(Z Y)."""
-    ym = symmetrize(y, rel_tol=1e-9, what="Y")
-    value, _ = lift.support_with_argmax(ym)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,6 @@ class ClassSetup:
             raise DomainError("theta_star must be positive definite")
         self.sqrt = (q * np.sqrt(lam)) @ q.T
         self.inv_sqrt = (q / np.sqrt(lam)) @ q.T
-        self.theta_star_inv = (q / lam) @ q.T
         self.theta_star_min_eig = float(lam[0])
         self.validate()
 
@@ -317,27 +317,18 @@ def _clip_in_basis(big_h, setup: ClassSetup, beta: float):
     return symmetrize(setup.inv_sqrt @ w @ setup.inv_sqrt, rel_tol=np.inf), viol
 
 
-def project_feasible(big_h, setups, beta, *, rounds: int = 50, tol: float = 1e-12):
+def project_feasible(big_h, setups, beta):
     """Cyclic whitened eigenvalue clipping onto the intersection of the
     per-class spectral boxes."""
     h_cur = symmetrize(big_h, rel_tol=np.inf)
-    for _ in range(rounds):
+    for _ in range(_PROJECTION_ROUNDS):
         worst = 0.0
         for setup in setups:
             h_cur, viol = _clip_in_basis(h_cur, setup, beta)
             worst = max(worst, viol)
-        if worst <= tol:
+        if worst <= _PROJECTION_TOL:
             break
     return h_cur
-
-
-def _feasibility_violation(big_h, setups, beta):
-    worst = 0.0
-    for setup in setups:
-        w = setup.sqrt @ big_h @ setup.sqrt
-        lam = np.linalg.eigvalsh(symmetrize(w, rel_tol=np.inf))
-        worst = max(worst, float(np.max(np.abs(lam))) - beta)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +340,6 @@ def _feasibility_violation(big_h, setups, beta):
 class SaddleOptions:
     gap_tol: float = 1e-4
     max_iters: int = 20_000
-    check_every: int = 250
-    inner_max_iters: int = 4_000
-    projection_rounds: int = 50
 
 
 @dataclass(frozen=True)
@@ -367,34 +355,25 @@ class SaddleSolution:
 
 
 class _SaddleProblem:
-    def __init__(self, setup0: ClassSetup, setup1: ClassSetup, beta: float, rounds: int):
+    def __init__(self, setup0: ClassSetup, setup1: ClassSetup, beta: float):
         self.s0, self.s1 = setup0, setup1
         self.beta = beta
-        self.rounds = rounds
         self.d = setup0.dim
         # uniform lower bound on the h-Hessian eigenvalues over the feasible set
         self.h_strong = (setup0.theta_star_min_eig + setup1.theta_star_min_eig) / (2.0 * (1.0 + beta))
 
     def project(self, big_h):
-        return project_feasible(big_h, (self.s0, self.s1), self.beta, rounds=self.rounds)
+        return project_feasible(big_h, (self.s0, self.s1), self.beta)
 
-    def g_value_grad(self, h, big_h):
-        """max-form objective g with a subgradient and the attaining Thetas."""
-        v0, ga0, gA0, th0 = _phi_pieces(self.s0, -h, -big_h, theta=None)
-        v1, ga1, gA1, th1 = _phi_pieces(self.s1, h, big_h, theta=None)
+    def value_grad(self, h, big_h, th0=None, th1=None):
+        """Objective with a subgradient and the Thetas used: fixed ones when
+        given, else the maximizers over the sets (the max-form objective g)."""
+        v0, ga0, gA0, th0 = _phi_pieces(self.s0, -h, -big_h, theta=th0)
+        v1, ga1, gA1, th1 = _phi_pieces(self.s1, h, big_h, theta=th1)
         val = 0.5 * (v0 + v1)
         gh = 0.5 * (ga1 - ga0)
         gH = 0.5 * (gA1 - gA0)
         return val, gh, gH, th0, th1
-
-    def f_fixed(self, h, big_h, th0, th1, want_grad=True):
-        """Objective at fixed (Theta0, Theta1)."""
-        v0, ga0, gA0, _ = _phi_pieces(self.s0, -h, -big_h, theta=th0, want_grad=want_grad)
-        v1, ga1, gA1, _ = _phi_pieces(self.s1, h, big_h, theta=th1, want_grad=want_grad)
-        val = 0.5 * (v0 + v1)
-        if not want_grad:
-            return val, None, None
-        return val, 0.5 * (ga1 - ga0), 0.5 * (gA1 - gA0)
 
     def exact_h(self, big_h):
         """argmin over h of the objective at fixed H.
@@ -446,7 +425,7 @@ class _SaddleProblem:
         best = max(best, base - float(np.sum(gH * gH)) / (2.0 * mu))
         return best
 
-    def inner_min(self, th0, th1, big_h0, max_iters):
+    def inner_min(self, th0, th1, big_h0):
         """Minimize at fixed Thetas; returns (value, h, H, certified bound).
 
         Projected gradient with an Armijo sufficient-decrease test on the
@@ -455,10 +434,10 @@ class _SaddleProblem:
         """
         big_h = self.project(big_h0)
         h = self.exact_h(big_h)
-        val, gh, gH = self.f_fixed(h, big_h, th0, th1)
+        val, gh, gH, _, _ = self.value_grad(h, big_h, th0, th1)
         step = 1.0
         scale = 1.0 + float(np.linalg.norm(big_h))
-        for _ in range(max_iters):
+        for _ in range(_INNER_MAX_ITERS):
             accepted = False
             for _bt in range(30):
                 cand_h_mat = self.project(big_h - step * gH)
@@ -466,7 +445,7 @@ class _SaddleProblem:
                 if move <= 1e-15 * scale:
                     break  # projected step is numerically a no-op
                 cand_h = self.exact_h(cand_h_mat)
-                cand_val, cand_gh, cand_gH = self.f_fixed(cand_h, cand_h_mat, th0, th1)
+                cand_val, cand_gh, cand_gH, _, _ = self.value_grad(cand_h, cand_h_mat, th0, th1)
                 if cand_val <= val - 1e-4 * move * move / step:
                     h, big_h, val, gh, gH = cand_h, cand_h_mat, cand_val, cand_gh, cand_gH
                     accepted = True
@@ -479,7 +458,7 @@ class _SaddleProblem:
         return val, h, big_h, bound
 
 
-def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opts: SaddleOptions | None = None) -> SaddleSolution:
+def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = DEFAULT_BETA, opts: SaddleOptions | None = None) -> SaddleSolution:
     """Solve the detector-design saddle problem for two class setups.
 
     `beta` bounds the whitened detector matrix away from the log-det domain
@@ -492,12 +471,12 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if setup0.dim != setup1.dim:
         raise DomainError(f"class dimensions differ: {setup0.dim} vs {setup1.dim}")
-    prob = _SaddleProblem(setup0, setup1, beta, opts.projection_rounds)
+    prob = _SaddleProblem(setup0, setup1, beta)
     d = setup0.dim
 
     h = np.zeros(d)
     big_h = np.zeros((d, d))
-    val, gh, gH, th0, th1 = prob.g_value_grad(h, big_h)
+    val, gh, gH, th0, th1 = prob.value_grad(h, big_h)
     best = {"h": h, "H": big_h, "g": val, "th0": th0, "th1": th1}
     sum_h, sum_H = h.copy(), big_h.copy()
     sum_th0, sum_th1 = th0.copy(), th1.copy()
@@ -508,7 +487,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
 
     def consider(cand_h, cand_H):
         nonlocal best
-        v, _gh, _gH, t0, t1 = prob.g_value_grad(cand_h, cand_H)
+        v, _gh, _gH, t0, t1 = prob.value_grad(cand_h, cand_H)
         if v < best["g"]:
             best = {"h": cand_h, "H": cand_H, "g": v, "th0": t0, "th1": t1}
         return v
@@ -524,7 +503,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
         ]
         for slot, (c_th0, c_th1) in enumerate(candidates):
             warm_H = warm[slot] if warm[slot] is not None else best["H"]
-            _, ih, iH, bound = prob.inner_min(c_th0, c_th1, warm_H, opts.inner_max_iters)
+            _, ih, iH, bound = prob.inner_min(c_th0, c_th1, warm_H)
             warm[slot] = iH
             q_best = max(q_best, bound)
             consider(ih, iH)
@@ -552,7 +531,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
         cand_H = prob.project(big_h - step * gH)
         cand_h = h - step * gh
         h, big_h = cand_h, cand_H
-        val, gh, gH, th0, th1 = prob.g_value_grad(h, big_h)
+        val, gh, gH, th0, th1 = prob.value_grad(h, big_h)
         if val < best["g"]:
             best = {"h": h, "H": big_h, "g": val, "th0": th0, "th1": th1}
         sum_h += h
@@ -560,7 +539,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = 0.99, opt
         sum_th0 += th0
         sum_th1 += th1
         n_avg += 1
-        if k % opts.check_every == 0:
+        if k % _CHECK_EVERY == 0:
             consider(sum_h / n_avg, sum_H / n_avg)
             if certify() <= opts.gap_tol:
                 break

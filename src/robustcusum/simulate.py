@@ -15,6 +15,7 @@ two uses ever share a stream and results are independent of thread count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, ScenarioConfig, build_matrix_set, build_vector_set, matrix_payload, vector_payload
-from .cusum import LANE_CALIBRATION, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
-from .errors import DomainError
+from .cusum import DEFAULT_DELAY_HORIZON, LANE_CALIBRATION, MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
+from .errors import CalibrationError, ConvergenceError, DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence, sample
 from .lfp import AffineDetector, SolverOptions, build_affine_detector, solve_lfp
 from .quadratic import ClassSetup, SaddleOptions, SingletonMean, build_quadratic_detector, llr_detector, solve_saddle
@@ -46,13 +47,10 @@ class ChangeScenario:
 
     nu0_true: Gaussian
     nu1_true: Gaussian
-    kappa: int = 1
 
     def __post_init__(self):
         if self.nu0_true.dim != self.nu1_true.dim:
             raise DomainError(f"pre/post dimensions differ: {self.nu0_true.dim} vs {self.nu1_true.dim}")
-        if self.kappa < 1:
-            raise DomainError(f"kappa must be >= 1, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, s
     Censored runs count at the horizon, which biases the mean downward; the
     censored fraction is reported so callers can judge the bias.
     """
-    if trials < 100:
-        raise DomainError(f"need at least 100 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
     streams = [SeededStream(seed, stream_id(scenario_index, LANE_ARL, t)) for t in range(trials)]
     times = alarm_times_gaussian(detector, nu0, streams, b, horizon, threads=threads)
     capped = np.minimum(times, horizon).astype(float)
@@ -173,16 +171,15 @@ def delay_summary(times: np.ndarray, horizon: int):
     return float(np.mean(kept)), sd, censored
 
 
-def estimate_wdd(detector, b: float, scenario: ChangeScenario, trials: int, seed: int, *, horizon: int = 10_000, scenario_index: int = 0, threads: int = 1):
+def estimate_wdd(detector, b: float, scenario: ChangeScenario, trials: int, seed: int, *, horizon: int = DEFAULT_DELAY_HORIZON, scenario_index: int = 0, threads: int = 1):
     """(mean, standard deviation) of the detection delay at the worst case.
 
-    Change at time 1 with the statistic at the reset barrier (kappa in the
-    scenario is metadata: from the reset state the delay law is the same for
-    every change time).  Censored trials are excluded from the estimate and
-    reported via a warning.
+    Change at time 1 with the statistic at the reset barrier (from the reset
+    state the delay law is the same for every change time).  Censored trials
+    are excluded from the estimate and reported via a warning.
     """
-    if trials < 100:
-        raise DomainError(f"need at least 100 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
     times = _delay_times(detector, b, horizon, trials, seed, scenario_index, lambda rng: scenario.nu1_true, threads)
     mean, sd, n_censored = delay_summary(times, horizon)
     if n_censored:
@@ -276,7 +273,6 @@ class PreparedScenario:
     epsilon_star: float
     efficiency_factor: float | None
     post_draw: object  # draw(rng) -> Gaussian, per-trial true post-change law
-    baseline_post: Gaussian
     solution: object
     # (mean, covariance) per class: a mean shift pairs each class's VectorSet
     # with the shared covariance, a covariance shift pairs each class's fixed
@@ -286,6 +282,18 @@ class PreparedScenario:
     @property
     def procedures(self):
         return (("robust", self.robust_detector), ("baseline", self.baseline_detector))
+
+
+@contextlib.contextmanager
+def _failure_context(where: str):
+    """Re-raise a solver or calibration failure with `where: ` leading its
+    message, keeping the diagnostics it carries."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{where}: {exc}", last_iterate=exc.last_iterate, residual=exc.residual) from exc
+    except CalibrationError as exc:
+        raise CalibrationError(f"{where}: {exc}", arl_low=exc.arl_low, arl_high=exc.arl_high) from exc
 
 
 def _resolve_cov_spec(spec, u1, d, rng):
@@ -311,7 +319,8 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
         m0 = build_vector_set(raw["m0"], d)
         m1 = build_vector_set(raw["m1"], d)
         sigma = matrix_payload(raw["sigma"], d)
-        sol = solve_lfp(m0, m1, sigma, SolverOptions(tol=solver["lfp_tol"], max_iters=solver["lfp_max_iters"]))
+        with _failure_context(scen.name):
+            sol = solve_lfp(m0, m1, sigma, SolverOptions(tol=solver["lfp_tol"], max_iters=solver["lfp_max_iters"]))
         robust = build_affine_detector(sol, sigma)
         if "true_pre_mean" in raw:
             pre_mean = vector_payload(raw["true_pre_mean"], d)
@@ -339,7 +348,7 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
         eps = sol.epsilon_star
         efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
         classes = ((m0, sigma), (m1, sigma))
-        return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol, classes)
+        return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol, classes)
 
     # covariance shift
     u0 = build_matrix_set(raw["u0"], d)
@@ -348,12 +357,13 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
     mean1 = vector_payload(raw.get("mean1", "zeros"), d)
     setup0 = ClassSetup(u0, SingletonMean(mean0))
     setup1 = ClassSetup(u1, SingletonMean(mean1))
-    sol = solve_saddle(
-        setup0,
-        setup1,
-        beta=solver["beta"],
-        opts=SaddleOptions(gap_tol=solver["gap_tol"], max_iters=solver["saddle_max_iters"]),
-    )
+    with _failure_context(scen.name):
+        sol = solve_saddle(
+            setup0,
+            setup1,
+            beta=solver["beta"],
+            opts=SaddleOptions(gap_tol=solver["gap_tol"], max_iters=solver["saddle_max_iters"]),
+        )
     robust = build_quadratic_detector(sol, setup0, setup1)
     if "true_pre_cov" in raw:
         pre_cov = matrix_payload(raw["true_pre_cov"], d)
@@ -373,7 +383,7 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
     eps = sol.epsilon_star
     efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
     classes = ((mean0, u0), (mean1, u1))
-    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, base_post, sol, classes)
+    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol, classes)
 
 
 def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
@@ -383,17 +393,18 @@ def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector
         progress(f"{prep.config.name}/{procedure}: calibrating threshold")
     lane_offset = 0 if procedure == "robust" else 1 << 30
     ids = [stream_id(prep.config.index, LANE_CALIBRATION, lane_offset | t) for t in range(cfg.arl_trials)]
-    return calibrate_threshold_mc(
-        detector,
-        prep.nu0_true,
-        cfg.gamma,
-        cfg.arl_trials,
-        cfg.seed,
-        horizon=cfg.arl_horizon,
-        threads=threads,
-        stream_ids=ids,
-        progress=progress,
-    )
+    with _failure_context(f"{prep.config.name}/{procedure}"):
+        return calibrate_threshold_mc(
+            detector,
+            prep.nu0_true,
+            cfg.gamma,
+            cfg.arl_trials,
+            cfg.seed,
+            horizon=cfg.arl_horizon,
+            threads=threads,
+            stream_ids=ids,
+            progress=progress,
+        )
 
 
 def pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:

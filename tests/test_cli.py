@@ -1,6 +1,8 @@
+import contextlib
+import importlib.util
 import io
 import json
-import contextlib
+from pathlib import Path
 
 import pytest
 
@@ -14,37 +16,39 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+MINI_CONFIG = {
+    "dimension": 3,
+    "gamma": 200.0,
+    "arl_trials": 100,
+    "delay_trials": 100,
+    "seed": 5,
+    "threshold_mode": "calibrated",
+    "scenarios": [
+        {
+            "name": "mean_row",
+            "kind": "mean_shift",
+            "m0": {"variant": "singleton", "point": "zeros"},
+            "m1": {"variant": "l1_ball", "center": "ones", "radius": 1.5},
+            "sigma": "identity",
+            "true_post_mean": {"kind": "uniform_entries", "low": 0.1, "high": 0.5},
+            "baseline": {"post_mean": "ones"},
+        },
+        {
+            "name": "cov_row",
+            "kind": "covariance_shift",
+            "u0": {"variant": "singleton_psd", "matrix": "identity"},
+            "u1": {"variant": "spectral_ball", "radius": 0.5},
+            "true_post_cov": {"kind": "random_member"},
+            "baseline": {"post_cov": {"kind": "random_member"}},
+        },
+    ],
+}
+
+
 @pytest.fixture(scope="module")
 def mini_cfg(tmp_path_factory):
-    raw = {
-        "dimension": 3,
-        "gamma": 200.0,
-        "arl_trials": 100,
-        "delay_trials": 100,
-        "seed": 5,
-        "threshold_mode": "calibrated",
-        "scenarios": [
-            {
-                "name": "mean_row",
-                "kind": "mean_shift",
-                "m0": {"variant": "singleton", "point": "zeros"},
-                "m1": {"variant": "l1_ball", "center": "ones", "radius": 1.5},
-                "sigma": "identity",
-                "true_post_mean": {"kind": "uniform_entries", "low": 0.1, "high": 0.5},
-                "baseline": {"post_mean": "ones"},
-            },
-            {
-                "name": "cov_row",
-                "kind": "covariance_shift",
-                "u0": {"variant": "singleton_psd", "matrix": "identity"},
-                "u1": {"variant": "spectral_ball", "radius": 0.5},
-                "true_post_cov": {"kind": "random_member"},
-                "baseline": {"post_cov": {"kind": "random_member"}},
-            },
-        ],
-    }
     path = tmp_path_factory.mktemp("cfg") / "mini.cfg"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(MINI_CONFIG))
     return str(path)
 
 
@@ -215,3 +219,74 @@ def test_edd_all_censored_reports_nan_moments(tmp_path):
     assert [row[1] for row in rows] == ["robust", "baseline"]
     for row in rows:
         assert row[3:] == ["nan", "nan", "100"]
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--threads", "0"], None), (["--threads", "-4"], None), ([], "0"), ([], "abc")],
+    ids=["flag-zero", "flag-negative", "env-zero", "env-not-int"],
+)
+def test_bad_thread_count_is_usage_error(mini_cfg, monkeypatch, flags, env):
+    if env is None:
+        monkeypatch.delenv("ROBUSTCUSUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ROBUSTCUSUM_THREADS", env)
+    code, out, err = run_cli(["lfp", "--config", mini_cfg, "--quiet"] + flags)
+    assert code == 1 and out == ""
+    assert "usage" in err and "argument --threads" in err
+
+
+def _unbracketed_baseline(raw):
+    # the baseline's post-change law is its pre-change law: its increments
+    # are all zero, so no threshold gives ARL = gamma within the horizon
+    raw["arl_horizon_factor"] = 2
+    raw["scenarios"] = raw["scenarios"][:1]
+    raw["scenarios"][0]["baseline"] = {"post_mean": "zeros"}
+
+
+def _one_saddle_iteration(raw):
+    raw["solver"] = {"gap_tol": 1e-300, "saddle_max_iters": 1}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("calibrate", _unbracketed_baseline, "solver failure: mean_row/baseline: failed to bracket ARL=200"),
+        ("detector", _one_saddle_iteration, "solver failure: cov_row: saddle solver reached 1 iterations"),
+    ],
+    ids=["calibration", "saddle"],
+)
+def test_solver_failure_names_where_it_failed(tmp_path, command, edit, message):
+    raw = json.loads(json.dumps(MINI_CONFIG))
+    edit(raw)
+    path = tmp_path / "failing.cfg"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli([command, "--config", str(path), "--quiet", "--threads", "1"])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def _load_benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_target(mini_cfg):
+    # perfbench/tracing.py wraps package functions by name; a renamed target
+    # would silently read 0 in the benchmark's layer metrics
+    tracing = _load_benchmark_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = run_cli(["edd", "--config", mini_cfg, "--quiet", "--threads", "1"])
+        unpatched = tracer.unpatched_bindings()
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    assert tracer.missing == [] and unpatched == []
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["cusum.steps"] > 0
+    assert metrics["simulate.delay_trials"] == len(MINI_CONFIG["scenarios"]) * 2 * MINI_CONFIG["delay_trials"]

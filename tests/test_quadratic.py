@@ -18,7 +18,6 @@ from robustcusum import (
     default_theta_star,
     eval_phi_big,
     llr_detector,
-    phi_support,
     sample,
     solve_saddle,
 )
@@ -75,13 +74,13 @@ def test_default_theta_star_interval_uses_endpoint_when_dominant():
 def test_phi_support_singleton_zero_mean_reads_corner():
     lift = SingletonMean(np.zeros(2))
     y = np.diag([5.0, 6.0, 7.0])
-    assert phi_support(lift, y) == pytest.approx(7.0, abs=1e-12)
-    assert phi_support(lift, np.zeros((3, 3))) == 0.0
+    assert lift.support_with_argmax(y)[0] == pytest.approx(7.0, abs=1e-12)
+    assert lift.support_with_argmax(np.zeros((3, 3)))[0] == 0.0
 
 
 def test_phi_support_singleton_hand_case():
     lift = SingletonMean(np.array([1.0, 0.0]))
-    assert phi_support(lift, np.eye(3)) == pytest.approx(2.0, abs=1e-12)
+    assert lift.support_with_argmax(np.eye(3))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 # -- bounding function ------------------------------------------------------

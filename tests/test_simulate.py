@@ -87,7 +87,7 @@ def test_estimate_arl_reproducible():
 
 
 def test_estimate_wdd_deterministic_ramp():
-    scen = ChangeScenario(NU, NU, kappa=1)
+    scen = ChangeScenario(NU, NU)
     mean, sd = estimate_wdd(ConstantDetector(1.0), 10.0, scen, trials=100, seed=0)
     assert mean == 10.0 and sd == 0.0
 
@@ -117,8 +117,6 @@ def test_delay_summary_censoring_edges():
 def test_change_scenario_validation():
     with pytest.raises(DomainError):
         ChangeScenario(NU, Gaussian(np.zeros(2), np.eye(2)))
-    with pytest.raises(DomainError):
-        ChangeScenario(NU, NU, kappa=0)
 
 
 def test_verify_bounds_affine_exact_at_least_favorable_pair():
