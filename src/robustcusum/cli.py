@@ -123,13 +123,12 @@ class _Progress:
 
 def _load(args):
     path = args.config
-    if os.path.exists(path):
-        cfg = load_config(path)
-    else:
-        try:
-            cfg = load_bundled_config(path)
-        except (FileNotFoundError, ModuleNotFoundError):
-            raise ConfigError([f"config: no such file or bundled config '{path}'"]) from None
+    try:
+        cfg = load_config(path) if os.path.exists(path) else load_bundled_config(path)
+    except (FileNotFoundError, ModuleNotFoundError):
+        raise ConfigError([f"config: no such file or bundled config '{path}'"]) from None
+    except OSError as exc:
+        raise ConfigError([f"config: cannot read '{path}' ({exc.strerror})"]) from None
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg
@@ -227,11 +226,10 @@ def _cmd_edd(cfg, args, progress):
     rows = []
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
-        n_delay = scen.delay_trials(cfg.delay_trials)
         for procedure, det in prep.procedures:
             b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
             progress(f"{scen.name}/{procedure}: delays at b={b:.5g}")
-            times = _delay_times(det, b, cfg.delay_horizon, n_delay, cfg.seed, scen.index, prep.post_draw, args.threads)
+            times = _delay_times(det, b, cfg.delay_horizon, scen.delay_trials, cfg.seed, scen.index, prep.post_draw, args.threads)
             mean, sd, censored = delay_summary(times, cfg.delay_horizon)
             rows.append([scen.name, procedure, _num(b), _num(mean), _num(sd), str(censored)])
     return render_table(["scenario", "procedure", "b", "wdd_mean", "wdd_sd", "censored"], rows, args.format)
@@ -258,7 +256,7 @@ def _cmd_verify(cfg, args, progress):
 def _class_members(cfg, scen, prep, n_members):
     """Gaussians sampled from the scenario's declared classes."""
     rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_VERIFY, 1 << 30)).generator()
-    (mean0, cov0), (mean1, cov1) = prep.classes
+    (mean0, cov0), (mean1, cov1) = scen.classes
     members0, members1 = [], []
     if scen.kind == "mean_shift":
         sol = prep.solution

@@ -1,10 +1,15 @@
-"""Experiment configuration: parsing, strict validation, set builders.
+"""Experiment configuration: parsing, strict validation, and the scenario
+objects the experiment runner uses.
 
 Config files are JSON documents (conventionally with a .cfg extension).  The
-schema is strict: unknown keys anywhere are errors, scientific knobs (gamma,
-trials, seed, set geometry) have no defaults, and validation reports every
-violation found rather than stopping at the first.  Solver internals
-(tolerances, iteration caps, beta) do default.
+schema is strict: unknown keys anywhere are errors, numbers must be finite,
+scientific knobs (gamma, trials, seed, set geometry) have no defaults, and
+validation reports every violation found rather than stopping at the first.
+Solver internals (tolerances, iteration caps, beta) do default.
+
+Validation builds what it checks: each scenario's uncertainty sets, vector
+and matrix payloads and samplers are built once, at parse, into the
+ScenarioConfig that the runner reads.
 
 See docs/config-schema.md for the full field-by-field reference.
 """
@@ -12,7 +17,8 @@ See docs/config-schema.md for the full field-by-field reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -54,6 +60,10 @@ _NAMED_MATRICES = {
 }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class _Validator:
     def __init__(self):
         self.violations: list[str] = []
@@ -73,19 +83,13 @@ class _Validator:
                 ok = False
         return ok
 
-    def number(self, obj, path, key, *, minimum=None, exclusive_minimum=None, maximum=None, exclusive_maximum=None):
+    def number(self, obj, path, key, *, exclusive_minimum=None, exclusive_maximum=None):
         val = obj.get(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             self.fail(f"{path}.{key}", f"must be a number, got {val!r}")
-            return None
-        if minimum is not None and val < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
             return None
         if exclusive_minimum is not None and val <= exclusive_minimum:
             self.fail(f"{path}.{key}", f"must be > {exclusive_minimum}, got {val}")
-            return None
-        if maximum is not None and val > maximum:
-            self.fail(f"{path}.{key}", f"must be <= {maximum}, got {val}")
             return None
         if exclusive_maximum is not None and val >= exclusive_maximum:
             self.fail(f"{path}.{key}", f"must be < {exclusive_maximum}, got {val}")
@@ -110,7 +114,7 @@ def _vector_payload(value, d, path, v: _Validator):
         v.fail(path, f"unknown named vector '{value}' (known: {sorted(_NAMED_VECTORS)})")
         return None
     if isinstance(value, list):
-        if len(value) != d or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+        if len(value) != d or not all(_is_number(x) for x in value):
             v.fail(path, f"must be a list of {d} numbers (configured dimension), got length {len(value)}")
             return None
         return np.asarray(value, dtype=float)
@@ -132,6 +136,9 @@ def _matrix_payload(value, d, path, v: _Validator):
             return None
         if arr.shape != (d, d):
             v.fail(path, f"must be a {d}x{d} matrix (configured dimension), got shape {arr.shape}")
+            return None
+        if not all(_is_number(x) for row in value for x in row):
+            v.fail(path, "must be a rectangular array of numbers")
             return None
         return arr
     v.fail(path, f"must be a named matrix or a nested list, got {value!r}")
@@ -195,7 +202,7 @@ def _build_matrix_set(spec, d, path, v: _Validator):
             base = _matrix_payload(spec["base"], d, f"{path}.base", v)
             direction = _matrix_payload(spec["direction"], d, f"{path}.direction", v)
             rng = spec.get("sigma_range")
-            if not (isinstance(rng, list) and len(rng) == 2 and all(isinstance(x, (int, float)) for x in rng)):
+            if not (isinstance(rng, list) and len(rng) == 2 and all(_is_number(x) for x in rng)):
                 v.fail(f"{path}.sigma_range", "must be a two-element [lo, hi] list of numbers")
                 return None
             if base is None or direction is None:
@@ -208,10 +215,11 @@ def _build_matrix_set(spec, d, path, v: _Validator):
     return None
 
 
-def _check_mean_sampler(spec, d, path, v: _Validator):
+def _mean_sampler(spec, d, path, v: _Validator):
+    """rng -> one trial's post-change mean."""
     if not isinstance(spec, dict):
         v.fail(path, "must be an object with a 'kind' key")
-        return
+        return None
     kind = spec.get("kind")
     if kind == "uniform_entries":
         if v.require_keys(spec, path, ("kind", "low", "high")):
@@ -219,58 +227,76 @@ def _check_mean_sampler(spec, d, path, v: _Validator):
             high = v.number(spec, path, "high")
             if low is not None and high is not None and low > high:
                 v.fail(path, f"low must be <= high, got [{low}, {high}]")
+            return lambda rng: rng.uniform(low, high, size=d)
     elif kind == "fixed":
         if v.require_keys(spec, path, ("kind", "value")):
-            _vector_payload(spec["value"], d, f"{path}.value", v)
+            value = _vector_payload(spec["value"], d, f"{path}.value", v)
+            return lambda rng: value
     else:
         v.fail(f"{path}.kind", f"unknown mean sampler kind {kind!r}")
+    return None
 
 
-def _check_cov_sampler(spec, d, path, v: _Validator, *, u1_variant=None, allow_interval_point=False):
+def _cov_sampler(spec, d, path, v: _Validator, u1, u1_variant, *, allow_interval_point=False):
+    """rng -> a covariance, drawn from the post-change set `u1` where the
+    kind asks.  Set methods are looked up at draw time, so a method wrapped
+    after parse is the one called."""
     if not isinstance(spec, dict):
         v.fail(path, "must be an object with a 'kind' key")
-        return
+        return None
     kind = spec.get("kind")
     if kind == "uniform_sigma":
         v.require_keys(spec, path, ("kind",))
         if u1_variant is not None and u1_variant != "interval":
             v.fail(path, "uniform_sigma sampler requires an interval post-change set")
-    elif kind == "random_member":
+        return lambda rng: u1.member(float(rng.uniform(u1.sigma_lo, u1.sigma_hi)))
+    if kind == "random_member":
         v.require_keys(spec, path, ("kind",))
-    elif kind == "fixed":
+        return lambda rng: u1.sample_member(rng)
+    if kind == "fixed":
         if v.require_keys(spec, path, ("kind", "value")):
-            _matrix_payload(spec["value"], d, f"{path}.value", v)
-    elif kind == "interval_point" and allow_interval_point:
+            value = _matrix_payload(spec["value"], d, f"{path}.value", v)
+            return lambda rng: value
+        return None
+    if kind == "interval_point" and allow_interval_point:
+        sigma = None
         if v.require_keys(spec, path, ("kind", "sigma")):
-            v.number(spec, path, "sigma")
+            sigma = v.number(spec, path, "sigma")
         if u1_variant is not None and u1_variant != "interval":
             v.fail(path, "interval_point requires an interval post-change set")
-    else:
-        v.fail(f"{path}.kind", f"unknown covariance sampler kind {kind!r}")
+        return lambda rng: u1.member(sigma)
+    v.fail(f"{path}.kind", f"unknown covariance sampler kind {kind!r}")
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario; `raw` is the exact parsed payload."""
+    """A validated scenario and the objects built from it.
+
+    `classes` holds (mean, covariance) per class: a mean shift pairs each
+    class's VectorSet with the shared covariance, a covariance shift pairs
+    each class's fixed mean with its MatrixSet.  The laws are (mean,
+    covariance) pairs of arrays.
+    """
 
     index: int
-    raw: dict
-
-    @property
-    def name(self) -> str:
-        return self.raw["name"]
-
-    @property
-    def kind(self) -> str:
-        return self.raw["kind"]
-
-    def delay_trials(self, default: int) -> int:
-        return self.raw.get("delay_trials", default)
+    name: str
+    kind: str
+    delay_trials: int  # the scenario's own count, else the document's
+    classes: tuple
+    pre_law: tuple  # the true pre-change law
+    baseline_pre: tuple  # the baseline CUSUM's pre-change design law
+    baseline_post: object  # design_rng -> its post-change design law
+    post_law: object  # rng -> one trial's true post-change law
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated document: `raw` is the exact parsed payload, `scenarios`
+    the scenarios built from it."""
+
     raw: dict
+    scenarios: tuple = field(compare=False)
 
     @property
     def dimension(self) -> int:
@@ -310,20 +336,17 @@ class ExperimentConfig:
         merged.update(self.raw.get("solver", {}))
         return merged
 
-    @property
-    def scenarios(self) -> list[ScenarioConfig]:
-        return [ScenarioConfig(i, s) for i, s in enumerate(self.raw["scenarios"])]
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        raw = json.loads(json.dumps(self.raw))
-        raw["seed"] = int(seed)
-        return ExperimentConfig(raw)
+        # the built scenarios do not depend on the seed
+        return replace(self, raw={**self.raw, "seed": int(seed)})
 
 
-def _validate(doc) -> list[str]:
-    v = _Validator()
+def _validate(doc, v: _Validator) -> tuple:
+    """Record every violation of `doc` in `v`; returns the scenarios built
+    on the way, which are complete only when no violation was recorded."""
     if not isinstance(doc, dict):
-        return ["document: must be a JSON object"]
+        v.fail("document", "must be a JSON object")
+        return ()
     required = ("dimension", "gamma", "arl_trials", "delay_trials", "seed", "threshold_mode", "scenarios")
     optional = ("arl_horizon_factor", "delay_horizon", "solver")
     v.require_keys(doc, "document", required, optional)
@@ -359,32 +382,36 @@ def _validate(doc) -> list[str]:
                 v.integer(solver, "document.solver", "saddle_max_iters", minimum=1)
 
     scenarios = doc.get("scenarios")
+    built = []
     if scenarios is not None:
         if not isinstance(scenarios, list) or not scenarios:
             v.fail("document.scenarios", "must be a non-empty array")
         elif d is not None:
             names = set()
-            for i, scen in enumerate(scenarios):
-                _validate_scenario(scen, d, f"scenarios[{i}]", v, names)
-    return v.violations
+            built = [_build_scenario(scen, i, d, doc.get("delay_trials"), v, names) for i, scen in enumerate(scenarios)]
+    return tuple(built)
 
 
-def _validate_scenario(scen, d, path, v: _Validator, names: set):
+def _build_scenario(scen, index, d, delay_trials, v: _Validator, names: set):
+    """The ScenarioConfig of `scen`, or None after recording a violation."""
+    path = f"scenarios[{index}]"
     if not isinstance(scen, dict):
         v.fail(path, "must be an object")
-        return
+        return None
     kind = scen.get("kind")
     if kind == "mean_shift":
         required = ("name", "kind", "m0", "m1", "sigma", "true_post_mean", "baseline")
         optional = ("true_pre_mean", "delay_trials")
+        build_laws = _mean_shift_laws
     elif kind == "covariance_shift":
         required = ("name", "kind", "u0", "u1", "true_post_cov", "baseline")
         optional = ("true_pre_cov", "mean0", "mean1", "delay_trials")
+        build_laws = _covariance_shift_laws
     else:
         v.fail(f"{path}.kind", f"must be one of {SCENARIO_KINDS}, got {kind!r}")
-        return
+        return None
     if not v.require_keys(scen, path, required, optional):
-        return
+        return None
     name = scen.get("name")
     if not isinstance(name, str) or not name or "," in name:
         v.fail(f"{path}.name", "must be a non-empty string without commas")
@@ -394,62 +421,104 @@ def _validate_scenario(scen, d, path, v: _Validator, names: set):
         names.add(name)
     if "delay_trials" in scen:
         v.integer(scen, path, "delay_trials", minimum=MIN_TRIALS)
+    laws = build_laws(scen, d, path, v)
+    if laws is None:
+        return None
+    return ScenarioConfig(index, name, kind, scen.get("delay_trials", delay_trials), **laws)
 
-    if kind == "mean_shift":
-        m0 = _build_vector_set(scen["m0"], d, f"{path}.m0", v)
-        _build_vector_set(scen["m1"], d, f"{path}.m1", v)
-        _matrix_payload(scen["sigma"], d, f"{path}.sigma", v)
-        _check_mean_sampler(scen["true_post_mean"], d, f"{path}.true_post_mean", v)
-        if "true_pre_mean" in scen:
-            _vector_payload(scen["true_pre_mean"], d, f"{path}.true_pre_mean", v)
-        elif m0 is not None and not isinstance(m0, SingletonVector):
-            v.fail(f"{path}.true_pre_mean", "required when m0 is not a singleton")
-        baseline = scen["baseline"]
-        if isinstance(baseline, dict):
-            if v.require_keys(baseline, f"{path}.baseline", ("post_mean",), ("pre_mean",)):
-                _vector_payload(baseline["post_mean"], d, f"{path}.baseline.post_mean", v)
-                if "pre_mean" in baseline:
-                    _vector_payload(baseline["pre_mean"], d, f"{path}.baseline.pre_mean", v)
-        else:
-            v.fail(f"{path}.baseline", "must be an object")
+
+def _mean_shift_laws(scen, d, path, v: _Validator):
+    """The ScenarioConfig fields of a mean shift, or None after recording a
+    violation."""
+    found = len(v.violations)
+    m0 = _build_vector_set(scen["m0"], d, f"{path}.m0", v)
+    m1 = _build_vector_set(scen["m1"], d, f"{path}.m1", v)
+    sigma = _matrix_payload(scen["sigma"], d, f"{path}.sigma", v)
+    post_mean = _mean_sampler(scen["true_post_mean"], d, f"{path}.true_post_mean", v)
+    pre_mean = m0.point if isinstance(m0, SingletonVector) else None
+    if "true_pre_mean" in scen:
+        pre_mean = _vector_payload(scen["true_pre_mean"], d, f"{path}.true_pre_mean", v)
+    elif m0 is not None and pre_mean is None:
+        v.fail(f"{path}.true_pre_mean", "required when m0 is not a singleton")
+    baseline = scen["baseline"]
+    if isinstance(baseline, dict):
+        if v.require_keys(baseline, f"{path}.baseline", ("post_mean",), ("pre_mean",)):
+            base_post = _vector_payload(baseline["post_mean"], d, f"{path}.baseline.post_mean", v)
+            base_pre = pre_mean
+            if "pre_mean" in baseline:
+                base_pre = _vector_payload(baseline["pre_mean"], d, f"{path}.baseline.pre_mean", v)
     else:
-        u0 = _build_matrix_set(scen["u0"], d, f"{path}.u0", v)
-        u1 = _build_matrix_set(scen["u1"], d, f"{path}.u1", v)
-        u1_variant = scen["u1"].get("variant") if isinstance(scen["u1"], dict) else None
-        _check_cov_sampler(scen["true_post_cov"], d, f"{path}.true_post_cov", v, u1_variant=u1_variant)
-        if "true_pre_cov" in scen:
-            _matrix_payload(scen["true_pre_cov"], d, f"{path}.true_pre_cov", v)
-        elif u0 is not None and not isinstance(u0, SingletonPSD):
-            v.fail(f"{path}.true_pre_cov", "required when u0 is not a singleton")
-        for key in ("mean0", "mean1"):
-            if key in scen:
-                _vector_payload(scen[key], d, f"{path}.{key}", v)
-        baseline = scen["baseline"]
-        if isinstance(baseline, dict):
-            if v.require_keys(baseline, f"{path}.baseline", ("post_cov",), ("pre_cov",)):
-                _check_cov_sampler(
-                    baseline["post_cov"], d, f"{path}.baseline.post_cov", v,
-                    u1_variant=u1_variant, allow_interval_point=True,
-                )
-                if "pre_cov" in baseline:
-                    _matrix_payload(baseline["pre_cov"], d, f"{path}.baseline.pre_cov", v)
-        else:
-            v.fail(f"{path}.baseline", "must be an object")
+        v.fail(f"{path}.baseline", "must be an object")
+    if len(v.violations) > found:
+        return None
+    return dict(
+        classes=((m0, sigma), (m1, sigma)),
+        pre_law=(pre_mean, sigma),
+        baseline_pre=(base_pre, sigma),
+        baseline_post=lambda rng: (base_post, sigma),
+        post_law=lambda rng: (post_mean(rng), sigma),
+    )
+
+
+def _covariance_shift_laws(scen, d, path, v: _Validator):
+    """The ScenarioConfig fields of a covariance shift, or None after
+    recording a violation."""
+    found = len(v.violations)
+    u0 = _build_matrix_set(scen["u0"], d, f"{path}.u0", v)
+    u1 = _build_matrix_set(scen["u1"], d, f"{path}.u1", v)
+    u1_variant = scen["u1"].get("variant") if isinstance(scen["u1"], dict) else None
+    post_cov = _cov_sampler(scen["true_post_cov"], d, f"{path}.true_post_cov", v, u1, u1_variant)
+    pre_cov = u0.matrix if isinstance(u0, SingletonPSD) else None
+    if "true_pre_cov" in scen:
+        pre_cov = _matrix_payload(scen["true_pre_cov"], d, f"{path}.true_pre_cov", v)
+    elif u0 is not None and pre_cov is None:
+        v.fail(f"{path}.true_pre_cov", "required when u0 is not a singleton")
+    mean0 = _vector_payload(scen.get("mean0", "zeros"), d, f"{path}.mean0", v)
+    mean1 = _vector_payload(scen.get("mean1", "zeros"), d, f"{path}.mean1", v)
+    baseline = scen["baseline"]
+    if isinstance(baseline, dict):
+        if v.require_keys(baseline, f"{path}.baseline", ("post_cov",), ("pre_cov",)):
+            base_post = _cov_sampler(
+                baseline["post_cov"], d, f"{path}.baseline.post_cov", v, u1, u1_variant, allow_interval_point=True
+            )
+            base_pre = pre_cov
+            if "pre_cov" in baseline:
+                base_pre = _matrix_payload(baseline["pre_cov"], d, f"{path}.baseline.pre_cov", v)
+    else:
+        v.fail(f"{path}.baseline", "must be an object")
+    if len(v.violations) > found:
+        return None
+    return dict(
+        classes=((mean0, u0), (mean1, u1)),
+        pre_law=(mean0, pre_cov),
+        baseline_pre=(mean0, base_pre),
+        baseline_post=lambda rng: (mean1, base_post(rng)),
+        post_law=lambda rng: (mean1, post_cov(rng)),
+    )
+
+
+def _finite_number(token: str) -> float:
+    """json.loads hook for every float and NaN/Infinity token."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError([f"document: non-finite number {token} (numbers must be finite)"])
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a configuration document.
+    """Parse, validate and build a configuration document.
 
     Raises ConfigError listing every violation found (not just the first).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"document: not valid JSON ({exc})"]) from exc
-    violations = _validate(doc)
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig(doc)
+    v = _Validator()
+    scenarios = _validate(doc, v)
+    if v.violations:
+        raise ConfigError(v.violations)
+    return ExperimentConfig(doc, scenarios)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -469,38 +538,3 @@ def bundled_config_path(name: str):
 
 def load_bundled_config(name: str) -> ExperimentConfig:
     return parse_config(bundled_config_path(name).read_text(encoding="utf-8"))
-
-
-# -- typed builders used by the experiment runner ---------------------------
-
-
-def build_vector_set(spec: dict, d: int):
-    v = _Validator()
-    out = _build_vector_set(spec, d, "set", v)
-    if v.violations:
-        raise ConfigError(v.violations)
-    return out
-
-
-def build_matrix_set(spec: dict, d: int):
-    v = _Validator()
-    out = _build_matrix_set(spec, d, "set", v)
-    if v.violations:
-        raise ConfigError(v.violations)
-    return out
-
-
-def vector_payload(value, d: int) -> np.ndarray:
-    v = _Validator()
-    out = _vector_payload(value, d, "vector", v)
-    if v.violations:
-        raise ConfigError(v.violations)
-    return out
-
-
-def matrix_payload(value, d: int) -> np.ndarray:
-    v = _Validator()
-    out = _matrix_payload(value, d, "matrix", v)
-    if v.violations:
-        raise ConfigError(v.violations)
-    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, ScenarioConfig, build_matrix_set, build_vector_set, matrix_payload, vector_payload
+from .config import ExperimentConfig, ScenarioConfig
 from .cusum import DEFAULT_DELAY_HORIZON, LANE_CALIBRATION, MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
 from .errors import CalibrationError, ConvergenceError, DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence, sample
@@ -274,10 +274,6 @@ class PreparedScenario:
     efficiency_factor: float | None
     post_draw: object  # draw(rng) -> Gaussian, per-trial true post-change law
     solution: object
-    # (mean, covariance) per class: a mean shift pairs each class's VectorSet
-    # with the shared covariance, a covariance shift pairs each class's fixed
-    # mean with its MatrixSet
-    classes: tuple
 
     @property
     def procedures(self):
@@ -296,94 +292,38 @@ def _failure_context(where: str):
         raise CalibrationError(f"{where}: {exc}", arl_low=exc.arl_low, arl_high=exc.arl_high) from exc
 
 
-def _resolve_cov_spec(spec, u1, d, rng):
-    kind = spec["kind"]
-    if kind == "uniform_sigma":
-        return u1.member(float(rng.uniform(u1.sigma_lo, u1.sigma_hi)))
-    if kind == "random_member":
-        return u1.sample_member(rng)
-    if kind == "interval_point":
-        return u1.member(float(spec["sigma"]))
-    if kind == "fixed":
-        return matrix_payload(spec["value"], d)
-    raise DomainError(f"unknown covariance sampler kind {kind!r}")
-
-
 def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=None) -> PreparedScenario:
-    d = cfg.dimension
     solver = cfg.solver
-    raw = scen.raw
+    (mean0, cov0), (mean1, cov1) = scen.classes
     if progress:
         progress(f"{scen.name}: solving detector")
     if scen.kind == "mean_shift":
-        m0 = build_vector_set(raw["m0"], d)
-        m1 = build_vector_set(raw["m1"], d)
-        sigma = matrix_payload(raw["sigma"], d)
         with _failure_context(scen.name):
-            sol = solve_lfp(m0, m1, sigma, SolverOptions(tol=solver["lfp_tol"], max_iters=solver["lfp_max_iters"]))
-        robust = build_affine_detector(sol, sigma)
-        if "true_pre_mean" in raw:
-            pre_mean = vector_payload(raw["true_pre_mean"], d)
-        else:
-            pre_mean = m0.point  # validated singleton
-        nu0_true = Gaussian(pre_mean, sigma)
-        base = raw["baseline"]
-        base_pre = vector_payload(base["pre_mean"], d) if "pre_mean" in base else pre_mean
-        base_post = Gaussian(vector_payload(base["post_mean"], d), sigma)
-        baseline = llr_detector(Gaussian(base_pre, sigma), base_post)
-        sampler = raw["true_post_mean"]
-
-        if sampler["kind"] == "uniform_entries":
-            low, high = float(sampler["low"]), float(sampler["high"])
-
-            def post_draw(rng, _sigma=sigma):
-                return Gaussian(rng.uniform(low, high, size=d), _sigma)
-
-        else:
-            fixed_mean = vector_payload(sampler["value"], d)
-
-            def post_draw(rng, _sigma=sigma):
-                return Gaussian(fixed_mean, _sigma)
-
-        eps = sol.epsilon_star
-        efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
-        classes = ((m0, sigma), (m1, sigma))
-        return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol, classes)
-
-    # covariance shift
-    u0 = build_matrix_set(raw["u0"], d)
-    u1 = build_matrix_set(raw["u1"], d)
-    mean0 = vector_payload(raw.get("mean0", "zeros"), d)
-    mean1 = vector_payload(raw.get("mean1", "zeros"), d)
-    setup0 = ClassSetup(u0, SingletonMean(mean0))
-    setup1 = ClassSetup(u1, SingletonMean(mean1))
-    with _failure_context(scen.name):
-        sol = solve_saddle(
-            setup0,
-            setup1,
-            beta=solver["beta"],
-            opts=SaddleOptions(gap_tol=solver["gap_tol"], max_iters=solver["saddle_max_iters"]),
-        )
-    robust = build_quadratic_detector(sol, setup0, setup1)
-    if "true_pre_cov" in raw:
-        pre_cov = matrix_payload(raw["true_pre_cov"], d)
+            sol = solve_lfp(mean0, mean1, cov0, SolverOptions(tol=solver["lfp_tol"], max_iters=solver["lfp_max_iters"]))
+        robust = build_affine_detector(sol, cov0)
+        design_rng = None  # a mean-shift baseline draws nothing
     else:
-        pre_cov = u0.matrix  # validated singleton
-    nu0_true = Gaussian(mean0, pre_cov)
-    design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
-    base_post_cov = _resolve_cov_spec(raw["baseline"]["post_cov"], u1, d, design_rng)
-    base_pre_cov = matrix_payload(raw["baseline"]["pre_cov"], d) if "pre_cov" in raw["baseline"] else pre_cov
-    base_post = Gaussian(mean1, base_post_cov)
-    baseline = llr_detector(Gaussian(mean0, base_pre_cov), base_post)
-    sampler = raw["true_post_cov"]
+        setup0 = ClassSetup(cov0, SingletonMean(mean0))
+        setup1 = ClassSetup(cov1, SingletonMean(mean1))
+        with _failure_context(scen.name):
+            sol = solve_saddle(
+                setup0,
+                setup1,
+                beta=solver["beta"],
+                opts=SaddleOptions(gap_tol=solver["gap_tol"], max_iters=solver["saddle_max_iters"]),
+            )
+        robust = build_quadratic_detector(sol, setup0, setup1)
+        design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
+    nu0_true = Gaussian(*scen.pre_law)
+    base_post = Gaussian(*scen.baseline_post(design_rng))
+    baseline = llr_detector(Gaussian(*scen.baseline_pre), base_post)
 
-    def post_draw(rng, _u1=u1, _d=d, _mean=mean1, _sampler=sampler):
-        return Gaussian(_mean, _resolve_cov_spec(_sampler, _u1, _d, rng))
+    def post_draw(rng):
+        return Gaussian(*scen.post_law(rng))
 
     eps = sol.epsilon_star
     efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
-    classes = ((mean0, u0), (mean1, u1))
-    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol, classes)
+    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol)
 
 
 def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
@@ -431,9 +371,8 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
         )
         if progress:
             progress(f"{scen.name}/{procedure}: delays")
-        n_delay = scen.delay_trials(cfg.delay_trials)
         times = _delay_times(
-            detector, b, cfg.delay_horizon, n_delay, cfg.seed,
+            detector, b, cfg.delay_horizon, scen.delay_trials, cfg.seed,
             scen.index,
             prep.post_draw,
             threads,
@@ -452,7 +391,7 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
                 wdd_mean=wdd_mean,
                 wdd_sd=wdd_sd,
                 censored_fraction=censored,
-                trials=n_delay,
+                trials=scen.delay_trials,
                 seed=cfg.seed,
                 efficiency_factor=prep.efficiency_factor if procedure == "robust" else None,
             )

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -74,8 +75,13 @@ def test_unknown_subcommand_exits_one():
     assert code == 1 and out == ""
 
 
-def test_missing_config_is_validation_error():
-    code, out, err = run_cli(["experiment", "--config", "/nonexistent/path.cfg"])
+@pytest.mark.parametrize(
+    "path",
+    ["/nonexistent/path.cfg", str(Path(__file__).resolve().parent), ""],  # "" resolves to the bundled configs/ directory
+    ids=["missing", "directory", "empty"],
+)
+def test_missing_config_is_validation_error(path):
+    code, out, err = run_cli(["experiment", "--config", path])
     assert code == 1
     assert out == ""
     assert "error" in err
@@ -290,3 +296,24 @@ def test_benchmark_tracer_finds_every_target(mini_cfg):
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["cusum.steps"] > 0
     assert metrics["simulate.delay_trials"] == len(MINI_CONFIG["scenarios"]) * 2 * MINI_CONFIG["delay_trials"]
+
+
+# Reaches the config branches no other test or bundled config does: the
+# fixed mean and covariance samplers, true_pre_cov, the baseline pre-change
+# laws, mean0/mean1, a box and an interval u0.
+EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_branch.cfg")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["experiment", "--threads", "1"], "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991"),
+        (["experiment", "--threads", "2"], "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991"),
+        (["verify", "--samples", "2000"], "e223861d46d3b1c43b5552083b810d178e9b1ddf520f1401669e696882d94042"),
+    ],
+    ids=["experiment-threads-1", "experiment-threads-2", "verify"],
+)
+def test_every_config_branch_golden(argv, digest):
+    code, out, err = run_cli(argv + ["--config", EVERY_BRANCH_CONFIG, "--quiet"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -69,6 +69,39 @@ def test_invalid_json_is_one_clear_violation():
         parse_config("{nope")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["gamma", "center"])
+def test_non_finite_number_is_one_clear_violation(token, field):
+    doc = _valid_doc()
+    if field == "gamma":
+        doc["gamma"] = "TOKEN"
+    else:
+        doc["scenarios"][0]["m1"]["center"] = [1.0, "TOKEN", 1.0]
+    with pytest.raises(ConfigError, match="non-finite") as exc:
+        parse_config(json.dumps(doc).replace('"TOKEN"', token))
+    assert len(exc.value.violations) == 1
+
+
+def test_booleans_are_not_numbers_in_payloads():
+    doc = _valid_doc()
+    doc["scenarios"][0]["sigma"] = [[True, False, False], [False, True, False], [False, False, True]]
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.sigma") as exc:
+        parse_config(json.dumps(doc))
+    assert len(exc.value.violations) == 1
+    doc = _valid_doc()
+    doc["scenarios"][0] = {
+        "name": "c",
+        "kind": "covariance_shift",
+        "u0": {"variant": "singleton_psd", "matrix": "identity"},
+        "u1": {"variant": "interval", "base": "identity", "direction": "identity", "sigma_range": [False, True]},
+        "true_post_cov": {"kind": "uniform_sigma"},
+        "baseline": {"post_cov": {"kind": "random_member"}},
+    }
+    with pytest.raises(ConfigError, match="sigma_range") as exc:
+        parse_config(json.dumps(doc))
+    assert len(exc.value.violations) == 1
+
+
 def test_beta_must_be_strictly_inside_unit_interval():
     doc = _valid_doc()
     doc["solver"] = {"beta": 1.0}
@@ -120,6 +153,20 @@ def test_seed_override_changes_only_seed():
     raw = dict(cfg2.raw)
     raw["seed"] = cfg.seed
     assert raw == cfg.raw
+
+
+def test_scenarios_are_built_at_parse():
+    doc = _valid_doc()
+    doc["scenarios"].append(dict(doc["scenarios"][0], name="m2", delay_trials=150))
+    cfg = parse_config(json.dumps(doc))
+    first, second = cfg.scenarios
+    assert (first.delay_trials, second.delay_trials) == (100, 150)
+    (m0, sigma0), (m1, sigma1) = first.classes
+    assert np.array_equal(m0.point, np.zeros(3)) and m1.radius == 1.0
+    assert np.array_equal(sigma0, np.eye(3)) and sigma1 is sigma0
+    mean, cov = first.post_law(np.random.default_rng(0))
+    assert mean.shape == (3,) and np.all((0.1 <= mean) & (mean <= 0.5)) and cov is sigma0
+    assert cfg.with_seed(99).scenarios is cfg.scenarios
 
 
 def test_interval_endpoint_pd_failure_is_a_violation():

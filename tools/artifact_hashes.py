@@ -6,9 +6,11 @@ must leave byte-identical.
 The package is imported from this checkout's src/, so running the script in
 two checkouts and diffing the two tables compares them.  The artifacts are
 every subcommand on criterion 11's d=3 config (csv and human, at --threads 1
-and 2), `experiment --scenario cov_row` on that config, `lfp` and `detector`
-on table1_paper.cfg and `experiment` on table1_desk.cfg.  Each digest is
-printed as its first 16 hex digits.  Takes about two minutes on 2 vCPUs.
+and 2), `experiment --scenario cov_row` on that config, `experiment` and
+`verify --samples 2000` on tests/data/every_branch.cfg (the config branches
+no bundled config reaches), `lfp` and `detector` on table1_paper.cfg and
+`experiment` on table1_desk.cfg.  Each digest is printed as its first 16 hex
+digits.  Takes about two minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ D3_CONFIG = {
     ],
 }
 
+EVERY_BRANCH_CONFIG = str(ROOT / "tests" / "data" / "every_branch.cfg")
+
 COMMANDS = ("lfp", "detector", "calibrate", "arl", "edd", "verify", "experiment")
 
 
@@ -64,6 +68,8 @@ def artifacts(d3_path: str):
                 argv = [command, "--config", d3_path, "--format", fmt, "--threads", threads]
                 yield f"d3 `{command}` {fmt} --threads {threads}", argv
     yield "d3 `experiment --scenario cov_row`", ["experiment", "--config", d3_path, "--scenario", "cov_row", "--threads", "2"]
+    yield "every_branch.cfg `experiment`", ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "2"]
+    yield "every_branch.cfg `verify --samples 2000`", ["verify", "--config", EVERY_BRANCH_CONFIG, "--samples", "2000"]
     yield "table1_paper.cfg `lfp`", ["lfp", "--config", "table1_paper.cfg", "--threads", "2"]
     yield "table1_paper.cfg `detector`", ["detector", "--config", "table1_paper.cfg", "--threads", "2"]
     yield "table1_desk.cfg `experiment`", ["experiment", "--config", "table1_desk.cfg", "--threads", "2"]
