@@ -129,6 +129,8 @@ def _load(args):
         raise ConfigError([f"config: no such file or bundled config '{path}'"]) from None
     except OSError as exc:
         raise ConfigError([f"config: cannot read '{path}' ({exc.strerror})"]) from None
+    except UnicodeDecodeError:
+        raise ConfigError([f"config: cannot read '{path}' (not UTF-8 text)"]) from None
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg

@@ -9,7 +9,8 @@ Solver internals (tolerances, iteration caps, beta) do default.
 
 Validation builds what it checks: each scenario's uncertainty sets, vector
 and matrix payloads and samplers are built once, at parse, into the
-ScenarioConfig that the runner reads.
+ScenarioConfig that the runner reads, and the solver settings into the
+library's own SolverOptions and SaddleOptions.
 
 See docs/config-schema.md for the full field-by-field reference.
 """
@@ -26,19 +27,13 @@ import numpy as np
 from .cusum import ARL_HORIZON_FACTOR, DEFAULT_DELAY_HORIZON, MIN_TRIALS
 from .errors import ConfigError
 from .lfp import SolverOptions
-from .quadratic import DEFAULT_BETA, SaddleOptions
+from .quadratic import SaddleOptions
 from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall
 
 THRESHOLD_MODES = ("theoretical", "calibrated")
 SCENARIO_KINDS = ("mean_shift", "covariance_shift")
 
-_SOLVER_DEFAULTS = {
-    "lfp_tol": SolverOptions.tol,
-    "lfp_max_iters": SolverOptions.max_iters,
-    "beta": DEFAULT_BETA,
-    "gap_tol": SaddleOptions.gap_tol,
-    "saddle_max_iters": SaddleOptions.max_iters,
-}
+_SOLVER_KEYS = ("lfp_tol", "lfp_max_iters", "beta", "gap_tol", "saddle_max_iters")
 
 
 def squared_exp_offdiagonal(d: int) -> np.ndarray:
@@ -292,11 +287,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated document: `raw` is the exact parsed payload, `scenarios`
-    the scenarios built from it."""
+    """A validated document: `raw` is the exact parsed payload; the
+    scenarios and solver options are built from it."""
 
     raw: dict
     scenarios: tuple = field(compare=False)
+    lfp_options: SolverOptions = field(compare=False)
+    saddle_options: SaddleOptions = field(compare=False)
 
     @property
     def dimension(self) -> int:
@@ -330,23 +327,18 @@ class ExperimentConfig:
     def delay_horizon(self) -> int:
         return self.raw.get("delay_horizon", DEFAULT_DELAY_HORIZON)
 
-    @property
-    def solver(self) -> dict:
-        merged = dict(_SOLVER_DEFAULTS)
-        merged.update(self.raw.get("solver", {}))
-        return merged
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
         # the built scenarios do not depend on the seed
         return replace(self, raw={**self.raw, "seed": int(seed)})
 
 
 def _validate(doc, v: _Validator) -> tuple:
-    """Record every violation of `doc` in `v`; returns the scenarios built
-    on the way, which are complete only when no violation was recorded."""
+    """Record every violation of `doc` in `v`; returns the (scenarios,
+    lfp_options, saddle_options) built on the way, which are complete only
+    when no violation was recorded."""
     if not isinstance(doc, dict):
         v.fail("document", "must be a JSON object")
-        return ()
+        return (), None, None
     required = ("dimension", "gamma", "arl_trials", "delay_trials", "seed", "threshold_mode", "scenarios")
     optional = ("arl_horizon_factor", "delay_horizon", "solver")
     v.require_keys(doc, "document", required, optional)
@@ -364,22 +356,7 @@ def _validate(doc, v: _Validator) -> tuple:
         v.number(doc, "document", "arl_horizon_factor", exclusive_minimum=0.0)
     if "delay_horizon" in doc:
         v.integer(doc, "document", "delay_horizon", minimum=1)
-    if "solver" in doc:
-        solver = doc["solver"]
-        if not isinstance(solver, dict):
-            v.fail("document.solver", "must be an object")
-        else:
-            v.require_keys(solver, "document.solver", (), tuple(_SOLVER_DEFAULTS))
-            if "lfp_tol" in solver:
-                v.number(solver, "document.solver", "lfp_tol", exclusive_minimum=0.0)
-            if "lfp_max_iters" in solver:
-                v.integer(solver, "document.solver", "lfp_max_iters", minimum=1)
-            if "beta" in solver:
-                v.number(solver, "document.solver", "beta", exclusive_minimum=0.0, exclusive_maximum=1.0)
-            if "gap_tol" in solver:
-                v.number(solver, "document.solver", "gap_tol", exclusive_minimum=0.0)
-            if "saddle_max_iters" in solver:
-                v.integer(solver, "document.solver", "saddle_max_iters", minimum=1)
+    lfp_options, saddle_options = _solver_options(doc.get("solver", {}), v)
 
     scenarios = doc.get("scenarios")
     built = []
@@ -389,7 +366,29 @@ def _validate(doc, v: _Validator) -> tuple:
         elif d is not None:
             names = set()
             built = [_build_scenario(scen, i, d, doc.get("delay_trials"), v, names) for i, scen in enumerate(scenarios)]
-    return tuple(built)
+    return tuple(built), lfp_options, saddle_options
+
+
+def _solver_options(solver, v: _Validator):
+    """The (SolverOptions, SaddleOptions) of the `solver` object; a key it
+    leaves out keeps the library default."""
+    path = "document.solver"
+    if not isinstance(solver, dict):
+        v.fail(path, "must be an object")
+        return None, None
+    v.require_keys(solver, path, (), _SOLVER_KEYS)
+    lfp, saddle = {}, {}
+    if "lfp_tol" in solver:
+        lfp["tol"] = v.number(solver, path, "lfp_tol", exclusive_minimum=0.0)
+    if "lfp_max_iters" in solver:
+        lfp["max_iters"] = v.integer(solver, path, "lfp_max_iters", minimum=1)
+    if "beta" in solver:
+        saddle["beta"] = v.number(solver, path, "beta", exclusive_minimum=0.0, exclusive_maximum=1.0)
+    if "gap_tol" in solver:
+        saddle["gap_tol"] = v.number(solver, path, "gap_tol", exclusive_minimum=0.0)
+    if "saddle_max_iters" in solver:
+        saddle["max_iters"] = v.integer(solver, path, "saddle_max_iters", minimum=1)
+    return SolverOptions(**lfp), SaddleOptions(**saddle)
 
 
 def _build_scenario(scen, index, d, delay_trials, v: _Validator, names: set):
@@ -505,20 +504,27 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    """json.loads hook for every integer token: one too large for a double
+    is non-finite too."""
+    _finite_number(token)
+    return int(token)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse, validate and build a configuration document.
 
     Raises ConfigError listing every violation found (not just the first).
     """
     try:
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        doc = json.loads(text, parse_float=_finite_number, parse_int=_finite_int, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"document: not valid JSON ({exc})"]) from exc
     v = _Validator()
-    scenarios = _validate(doc, v)
+    built = _validate(doc, v)
     if v.violations:
         raise ConfigError(v.violations)
-    return ExperimentConfig(doc, scenarios)
+    return ExperimentConfig(doc, *built)
 
 
 def serialize_config(config: ExperimentConfig) -> str:

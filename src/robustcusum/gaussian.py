@@ -32,16 +32,16 @@ def _as_vector(x, d: int, what: str) -> np.ndarray:
     return v
 
 
-def symmetrize(mat: np.ndarray, *, rel_tol: float = _ASYMMETRY_REL_TOL, what: str = "matrix") -> np.ndarray:
-    """Return (A + A^T)/2; reject asymmetry beyond `rel_tol` (relative Frobenius)."""
+def symmetrize(mat: np.ndarray, *, what: str = "matrix") -> np.ndarray:
+    """Return (A + A^T)/2; reject asymmetry beyond `_ASYMMETRY_REL_TOL` (relative Frobenius)."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
     scale = max(float(np.linalg.norm(a)), 1.0)
     skew = float(np.linalg.norm(a - a.T))
-    if skew > rel_tol * scale:
+    if skew > _ASYMMETRY_REL_TOL * scale:
         raise ValueError(
-            f"{what} is asymmetric beyond tolerance: ||A - A^T||/||A|| = {skew / scale:.3e} > {rel_tol:.1e}"
+            f"{what} is asymmetric beyond tolerance: ||A - A^T||/||A|| = {skew / scale:.3e} > {_ASYMMETRY_REL_TOL:.1e}"
         )
     return (a + a.T) / 2.0
 

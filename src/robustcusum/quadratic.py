@@ -44,7 +44,6 @@ _DOMINATION_TOL = 1e-9
 # sigma grid used to audit interval sets; endpoints included.
 _INTERVAL_DELTA_GRID = 17
 
-DEFAULT_BETA = 0.99  # whitened spectral bound on the detector matrix, in (0, 1)
 # saddle solver: outer iterations between certificates, steps per fixed-Theta
 # inner minimization, cyclic-projection sweeps and their stopping tolerance
 _CHECK_EVERY = 250
@@ -108,12 +107,12 @@ def _audit_members(uset: MatrixSet) -> list[np.ndarray]:
     return members
 
 
-def _check_domination(theta_star, members, what="theta_star"):
+def _check_domination(theta_star, members):
     for idx, theta in enumerate(members):
         worst = float(np.linalg.eigvalsh(theta_star - theta)[0])
         if worst < -_DOMINATION_TOL:
             raise DomainError(
-                f"{what} does not dominate member #{idx}: most negative eigenvalue "
+                f"theta_star does not dominate member #{idx}: most negative eigenvalue "
                 f"of (theta_star - member) is {worst:.3e}"
             )
 
@@ -170,50 +169,32 @@ def compute_delta(uset: MatrixSet, theta_star) -> float:
 
 
 class ClassSetup:
-    """One class's data: covariance set U, dominating Theta*, delta, mean lift.
+    """One class's data: covariance set U, mean lift, and the dominating
+    Theta* (default_theta_star) and delta (compute_delta) derived from U.
 
     Caches the symmetric square root of Theta* and its inverse; those define
     the whitened basis every feasibility and objective computation works in.
     """
 
-    def __init__(self, uset: MatrixSet, lift: SingletonMean, theta_star=None, delta=None):
-        self.uset = uset
-        self.lift = lift
+    def __init__(self, uset: MatrixSet, lift: SingletonMean):
         if not isinstance(lift, SingletonMean):
             raise DomainError(f"the mean lift must be a SingletonMean, got {type(lift).__name__}")
         if lift.dim != uset.dim:
             raise DomainError(f"lift dimension {lift.dim} does not match set dimension {uset.dim}")
-        self.theta_star = (
-            symmetrize(theta_star, what="theta_star") if theta_star is not None else default_theta_star(uset)
-        )
-        if self.theta_star.shape != (uset.dim, uset.dim):
-            raise DomainError(f"theta_star must be {uset.dim}x{uset.dim}, got {self.theta_star.shape}")
-        self.delta = float(delta) if delta is not None else compute_delta(uset, self.theta_star)
-        if not 0.0 <= self.delta <= 2.0:
-            raise DomainError(f"delta must lie in [0, 2], got {self.delta}")
+        self.uset = uset
+        self.lift = lift
+        self.theta_star = default_theta_star(uset)
+        self.delta = compute_delta(uset, self.theta_star)
         lam, q = np.linalg.eigh(self.theta_star)
         if lam[0] <= 0:
             raise DomainError("theta_star must be positive definite")
         self.sqrt = (q * np.sqrt(lam)) @ q.T
         self.inv_sqrt = (q / np.sqrt(lam)) @ q.T
         self.theta_star_min_eig = float(lam[0])
-        self.validate()
 
     @property
     def dim(self):
         return self.uset.dim
-
-    def validate(self):
-        members = _audit_members(self.uset)
-        _check_domination(self.theta_star, members)
-        eye = np.eye(self.dim)
-        for idx, theta in enumerate(members):
-            dist = float(np.linalg.norm(_psd_sqrt(theta) @ self.inv_sqrt - eye, 2))
-            if dist > self.delta + 1e-9:
-                raise DomainError(
-                    f"delta={self.delta:g} does not cover member #{idx}: "
-                    f"||Theta^(1/2) Theta*^(-1/2) - I|| = {dist:.6g}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +202,27 @@ class ClassSetup:
 # ---------------------------------------------------------------------------
 
 
-def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, want_grad=True):
-    """Value (and gradients w.r.t. its own arguments) of the bounding function
+def _sym(mat):
+    return (mat + mat.T) / 2.0
+
+
+def _whiten(setup: ClassSetup, big_a):
+    """The whitened W = Theta*^{1/2} A Theta*^{1/2} and its eigenpairs:
+    (w, lam, q)."""
+    w = _sym(setup.sqrt @ big_a @ setup.sqrt)
+    lam, q = np.linalg.eigh(w)
+    return w, lam, q
+
+
+def _phi_pieces(setup: ClassSetup, a, big_a, theta=None):
+    """Value and gradients w.r.t. its own arguments of the bounding function
     at (a, A), with Theta either fixed or maximized exactly over the set.
 
     Returns (value, grad_a, grad_A, theta_used).
     """
     d = setup.dim
-    s_mat, s_inv = setup.sqrt, setup.inv_sqrt
-    w = symmetrize(s_mat @ big_a @ s_mat, rel_tol=np.inf)
-    lam, q = np.linalg.eigh(w)
+    s_mat = setup.sqrt
+    w, lam, q = _whiten(setup, big_a)
     spec = float(np.max(np.abs(lam)))
     if spec >= 1.0 - _DOMAIN_MARGIN:
         raise DomainError(
@@ -241,8 +233,8 @@ def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, want_grad=True):
     # log-det barrier
     value = -0.5 * float(np.sum(np.log1p(-lam)))
     inv_one_minus = q @ np.diag(1.0 / (1.0 - lam)) @ q.T
-    grad_a_acc = np.zeros(d)
-    grad_A_acc = 0.5 * (s_mat @ inv_one_minus @ s_mat) if want_grad else None
+    r_inv = s_mat @ inv_one_minus @ s_mat  # (Theta*^{-1} - A)^{-1}
+    grad_A_acc = 0.5 * r_inv
 
     # linear Theta term (the only Theta dependence)
     if theta is None:
@@ -251,15 +243,14 @@ def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, want_grad=True):
     else:
         theta_used = theta
         value += 0.5 * float(np.sum((theta_used - setup.theta_star) * big_a))
-    if want_grad:
-        grad_A_acc = grad_A_acc + 0.5 * (theta_used - setup.theta_star)
+    grad_A_acc = grad_A_acc + 0.5 * (theta_used - setup.theta_star)
 
     # delta buffer against members below Theta*
     if setup.delta > 0.0:
         kd = setup.delta * (2.0 + setup.delta) / 2.0
         frob_sq = float(np.sum(lam * lam))
         value += kd * frob_sq / (1.0 - spec)
-        if want_grad and frob_sq > 0.0:
+        if frob_sq > 0.0:
             grad_A_acc = grad_A_acc + kd * (2.0 / (1.0 - spec)) * (s_mat @ w @ s_mat)
             # subgradient of the spectral norm, averaged over the (numerically)
             # degenerate top eigenspace so descent works on symmetric iterates
@@ -271,24 +262,19 @@ def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, want_grad=True):
             grad_A_acc = grad_A_acc + kd * frob_sq / (1.0 - spec) ** 2 * norm_sub
 
     # support-function term on the lifted second-moment block
-    r_inv = s_mat @ inv_one_minus @ s_mat  # (Theta*^{-1} - A)^{-1}
     c_mat = np.concatenate([big_a, a[:, None]], axis=1)  # d x (d+1)
     block = np.zeros((d + 1, d + 1))
     block[:d, :d] = big_a
     block[:d, d] = a
     block[d, :d] = a
     y = block + c_mat.T @ r_inv @ c_mat
-    z_val, z_arg = setup.lift.support_with_argmax(symmetrize(y, rel_tol=np.inf))
+    z_val, z_arg = setup.lift.support_with_argmax(_sym(y))
     value += 0.5 * z_val
-    if want_grad:
-        m = r_inv @ c_mat  # d x (d+1)
-        mz = m @ z_arg
-        grad_A_acc = grad_A_acc + 0.5 * (z_arg[:d, :d] + mz[:, :d] + mz[:, :d].T + mz @ m.T)
-        grad_a_acc = z_arg[:d, d] + mz[:, d]
-
-    if want_grad:
-        grad_A_acc = symmetrize(grad_A_acc, rel_tol=np.inf)
-    return value, grad_a_acc, grad_A_acc, theta_used
+    m = r_inv @ c_mat  # d x (d+1)
+    mz = m @ z_arg
+    grad_A_acc = grad_A_acc + 0.5 * (z_arg[:d, :d] + mz[:, :d] + mz[:, :d].T + mz @ m.T)
+    grad_a = z_arg[:d, d] + mz[:, d]
+    return value, grad_a, _sym(grad_A_acc), theta_used
 
 
 def eval_phi_big(h, big_h, theta, setup: ClassSetup) -> float:
@@ -297,7 +283,7 @@ def eval_phi_big(h, big_h, theta, setup: ClassSetup) -> float:
     h = np.asarray(h, dtype=float).reshape(-1)
     big_h = symmetrize(big_h, what="H")
     theta = symmetrize(theta, what="Theta")
-    value, _, _, _ = _phi_pieces(setup, h, big_h, theta=theta, want_grad=False)
+    value, _, _, _ = _phi_pieces(setup, h, big_h, theta=theta)
     return value
 
 
@@ -307,20 +293,19 @@ def eval_phi_big(h, big_h, theta, setup: ClassSetup) -> float:
 
 
 def _clip_in_basis(big_h, setup: ClassSetup, beta: float):
-    w = symmetrize(setup.sqrt @ big_h @ setup.sqrt, rel_tol=np.inf)
-    lam, q = np.linalg.eigh(w)
+    _, lam, q = _whiten(setup, big_h)
     viol = float(np.max(np.abs(lam))) - beta
     if viol <= 0.0:
         return big_h, 0.0
     lam = np.clip(lam, -beta, beta)
     w = (q * lam) @ q.T
-    return symmetrize(setup.inv_sqrt @ w @ setup.inv_sqrt, rel_tol=np.inf), viol
+    return _sym(setup.inv_sqrt @ w @ setup.inv_sqrt), viol
 
 
 def project_feasible(big_h, setups, beta):
     """Cyclic whitened eigenvalue clipping onto the intersection of the
     per-class spectral boxes."""
-    h_cur = symmetrize(big_h, rel_tol=np.inf)
+    h_cur = _sym(big_h)
     for _ in range(_PROJECTION_ROUNDS):
         worst = 0.0
         for setup in setups:
@@ -340,6 +325,7 @@ def project_feasible(big_h, setups, beta):
 class SaddleOptions:
     gap_tol: float = 1e-4
     max_iters: int = 20_000
+    beta: float = 0.99  # whitened spectral bound on the detector matrix, in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -390,8 +376,7 @@ class _SaddleProblem:
 
     @staticmethod
     def _r_inv(setup, big_a):
-        w = symmetrize(setup.sqrt @ big_a @ setup.sqrt, rel_tol=np.inf)
-        lam, q = np.linalg.eigh(w)
+        _, lam, q = _whiten(setup, big_a)
         if np.max(np.abs(lam)) >= 1.0 - _DOMAIN_MARGIN:
             raise DomainError("detector matrix outside the feasible domain")
         return setup.sqrt @ (q / (1.0 - lam)) @ q.T @ setup.sqrt
@@ -418,7 +403,7 @@ class _SaddleProblem:
         best = -math.inf
         for setup in (self.s0, self.s1):
             m = setup.inv_sqrt @ gH @ setup.inv_sqrt
-            nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(symmetrize(m, rel_tol=np.inf)))))
+            nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(_sym(m)))))
             lin_min = -self.beta * nuclear
             best = max(best, base + lin_min - float(np.sum(gH * big_h)))
         mu = (self.s0.theta_star_min_eig**2 + self.s1.theta_star_min_eig**2) / (4.0 * (1.0 + self.beta) ** 2)
@@ -458,20 +443,20 @@ class _SaddleProblem:
         return val, h, big_h, bound
 
 
-def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, beta: float = DEFAULT_BETA, opts: SaddleOptions | None = None) -> SaddleSolution:
+def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | None = None) -> SaddleSolution:
     """Solve the detector-design saddle problem for two class setups.
 
-    `beta` bounds the whitened detector matrix away from the log-det domain
-    boundary; it must lie strictly inside (0, 1).  Raises ConvergenceError
-    with the last iterate when the duality gap is still above
-    `opts.gap_tol` after `opts.max_iters` outer iterations.
+    `opts.beta` bounds the whitened detector matrix away from the log-det
+    domain boundary; it must lie strictly inside (0, 1).  Raises
+    ConvergenceError with the last iterate when the duality gap is still
+    above `opts.gap_tol` after `opts.max_iters` outer iterations.
     """
     opts = opts or SaddleOptions()
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    if not 0.0 < opts.beta < 1.0:
+        raise DomainError(f"beta must lie in (0, 1), got {opts.beta}")
     if setup0.dim != setup1.dim:
         raise DomainError(f"class dimensions differ: {setup0.dim} vs {setup1.dim}")
-    prob = _SaddleProblem(setup0, setup1, beta)
+    prob = _SaddleProblem(setup0, setup1, opts.beta)
     d = setup0.dim
 
     h = np.zeros(d)
@@ -619,7 +604,7 @@ def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) 
     w1 = g1.whiten(g1.mean)
     quad0 = float(w0 @ w0)
     quad1 = float(w1 @ w1)
-    big_h = symmetrize(inv1 - inv0, rel_tol=np.inf)
+    big_h = _sym(inv1 - inv0)
     h = inv0 @ g0.mean - inv1 @ g1.mean
     const = -0.5 * (quad0 - quad1) - 0.5 * (g0.log_det_covariance() - g1.log_det_covariance())
     return QuadraticDetector(H=big_h, h=h, kappa_const=const, epsilon_star=epsilon_star)

@@ -26,8 +26,8 @@ from .config import ExperimentConfig, ScenarioConfig
 from .cusum import DEFAULT_DELAY_HORIZON, LANE_CALIBRATION, MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
 from .errors import CalibrationError, ConvergenceError, DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence, sample
-from .lfp import AffineDetector, SolverOptions, build_affine_detector, solve_lfp
-from .quadratic import ClassSetup, SaddleOptions, SingletonMean, build_quadratic_detector, llr_detector, solve_saddle
+from .lfp import AffineDetector, build_affine_detector, solve_lfp
+from .quadratic import ClassSetup, SingletonMean, build_quadratic_detector, llr_detector, solve_saddle
 
 LANE_ARL = 1
 LANE_WDD = 2
@@ -293,25 +293,19 @@ def _failure_context(where: str):
 
 
 def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=None) -> PreparedScenario:
-    solver = cfg.solver
     (mean0, cov0), (mean1, cov1) = scen.classes
     if progress:
         progress(f"{scen.name}: solving detector")
     if scen.kind == "mean_shift":
         with _failure_context(scen.name):
-            sol = solve_lfp(mean0, mean1, cov0, SolverOptions(tol=solver["lfp_tol"], max_iters=solver["lfp_max_iters"]))
+            sol = solve_lfp(mean0, mean1, cov0, cfg.lfp_options)
         robust = build_affine_detector(sol, cov0)
         design_rng = None  # a mean-shift baseline draws nothing
     else:
         setup0 = ClassSetup(cov0, SingletonMean(mean0))
         setup1 = ClassSetup(cov1, SingletonMean(mean1))
         with _failure_context(scen.name):
-            sol = solve_saddle(
-                setup0,
-                setup1,
-                beta=solver["beta"],
-                opts=SaddleOptions(gap_tol=solver["gap_tol"], max_iters=solver["saddle_max_iters"]),
-            )
+            sol = solve_saddle(setup0, setup1, cfg.saddle_options)
         robust = build_quadratic_detector(sol, setup0, setup1)
         design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
     nu0_true = Gaussian(*scen.pre_law)

@@ -77,8 +77,13 @@ def test_unknown_subcommand_exits_one():
 
 @pytest.mark.parametrize(
     "path",
-    ["/nonexistent/path.cfg", str(Path(__file__).resolve().parent), ""],  # "" resolves to the bundled configs/ directory
-    ids=["missing", "directory", "empty"],
+    [
+        "/nonexistent/path.cfg",
+        str(Path(__file__).resolve().parent),
+        "",  # resolves to the bundled configs/ directory
+        str(Path(__file__).resolve().parent / "data" / "not_utf8.cfg"),  # starts with the bytes ff fe
+    ],
+    ids=["missing", "directory", "empty", "not-utf8"],
 )
 def test_missing_config_is_validation_error(path):
     code, out, err = run_cli(["experiment", "--config", path])
@@ -307,13 +312,28 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["experiment", "--threads", "1"], "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991"),
-        (["experiment", "--threads", "2"], "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991"),
-        (["verify", "--samples", "2000"], "e223861d46d3b1c43b5552083b810d178e9b1ddf520f1401669e696882d94042"),
+        (
+            ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "1"],
+            "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991",
+        ),
+        (
+            ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "2"],
+            "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991",
+        ),
+        (
+            ["verify", "--config", EVERY_BRANCH_CONFIG, "--samples", "2000"],
+            "e223861d46d3b1c43b5552083b810d178e9b1ddf520f1401669e696882d94042",
+        ),
+        # the only byte pin of the saddle solver above d=3: at d=10 the
+        # cov_interval envelope theta_star is asymmetric in its last bits
+        (
+            ["detector", "--config", "table1_desk.cfg"],
+            "53c36a7b2da7c05c6fe286048920e57f17d50f0d06cd9577d33e6fcdd61a62cb",
+        ),
     ],
-    ids=["experiment-threads-1", "experiment-threads-2", "verify"],
+    ids=["experiment-threads-1", "experiment-threads-2", "verify", "desk-detector"],
 )
 def test_every_config_branch_golden(argv, digest):
-    code, out, err = run_cli(argv + ["--config", EVERY_BRANCH_CONFIG, "--quiet"])
+    code, out, err = run_cli(argv + ["--quiet"])
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -69,7 +69,9 @@ def test_invalid_json_is_one_clear_violation():
         parse_config("{nope")
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="int-1e400")]
+)
 @pytest.mark.parametrize("field", ["gamma", "center"])
 def test_non_finite_number_is_one_clear_violation(token, field):
     doc = _valid_doc()

@@ -9,6 +9,7 @@ from robustcusum import (
     DomainError,
     Gaussian,
     MatrixInterval,
+    SaddleOptions,
     SeededStream,
     SingletonMean,
     SingletonPSD,
@@ -180,15 +181,15 @@ def test_subgradients_match_finite_differences():
         ap, am = a.copy(), a.copy()
         ap[i] += step
         am[i] -= step
-        vp, *_ = _phi_pieces(setup, ap, big_a, theta=None, want_grad=False)
-        vm, *_ = _phi_pieces(setup, am, big_a, theta=None, want_grad=False)
+        vp, *_ = _phi_pieces(setup, ap, big_a, theta=None)
+        vm, *_ = _phi_pieces(setup, am, big_a, theta=None)
         fd = (vp - vm) / (2 * step)
         assert ga[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
         j, k = sorted(rng.integers(d, size=2))
         pert = np.zeros((d, d))
         pert[j, k] = pert[k, j] = 1.0  # symmetric coordinate direction
-        vp, *_ = _phi_pieces(setup, a, big_a + step * pert, theta=None, want_grad=False)
-        vm, *_ = _phi_pieces(setup, a, big_a - step * pert, theta=None, want_grad=False)
+        vp, *_ = _phi_pieces(setup, a, big_a + step * pert, theta=None)
+        vm, *_ = _phi_pieces(setup, a, big_a - step * pert, theta=None)
         fd = (vp - vm) / (2 * step)
         expected = float(np.sum(gA * pert))
         assert expected == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -270,7 +271,7 @@ def test_saddle_rejects_bad_beta_and_dims():
     s2 = _singleton_setup(2)
     s3 = _singleton_setup(3)
     with pytest.raises(DomainError, match="beta"):
-        solve_saddle(s2, s2, beta=1.0)
+        solve_saddle(s2, s2, opts=SaddleOptions(beta=1.0))
     with pytest.raises(DomainError, match="dimensions"):
         solve_saddle(s2, s3)
 
@@ -349,11 +350,6 @@ def test_llr_detector_matches_log_density_ratio():
         g0.mean, g0.covariance
     ).logpdf(xs)
     assert np.allclose(det.increments(xs), expected, atol=1e-10)
-
-
-def test_class_setup_rejects_uncovered_delta():
-    with pytest.raises(DomainError, match="delta"):
-        ClassSetup(SpectralBall(0.5, 2), SingletonMean(np.zeros(2)), theta_star=0.5 * np.eye(2), delta=0.1)
 
 
 class _CornerLift:
