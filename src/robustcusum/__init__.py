@@ -45,7 +45,6 @@ from .quadratic import (
 from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall
 from .simulate import (
     BoundReport,
-    ChangeScenario,
     RunReport,
     estimate_arl,
     estimate_wdd,

@@ -19,22 +19,20 @@ import time
 
 import numpy as np
 
-from .config import load_bundled_config, load_config
+from .config import SEED_LIMIT, load_bundled_config, load_config
 from .cusum import certified_threshold
 from .errors import CalibrationError, ConfigError, ConvergenceError, RobustCusumError
-from .gaussian import Gaussian, SeededStream
 from .simulate import (
-    LANE_VERIFY,
-    _delay_times,
     calibrated_threshold,
-    delay_summary,
+    class_members,
     estimate_arl,
+    estimate_wdd,
+    format_cell,
     pick_threshold,
     prepare_scenario,
     render_human,
     render_table,
     run_scenario,
-    stream_id,
     to_csv,
     verify_detector_bounds,
 )
@@ -53,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _int_at_least(low: int):
+def _bounded_int(low: int, below: int | None = None):
     def parse(text):
         try:
             value = int(text)
@@ -61,6 +59,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
 
     return parse
@@ -68,14 +68,14 @@ def _int_at_least(low: int):
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="config file path or bundled name (e.g. table1_desk.cfg)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sub.add_argument("--seed", type=_bounded_int(0, SEED_LIMIT), default=None, help="override the config seed (< 2**64)")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", choices=_FORMATS, default="csv")
     # a string default goes through `type` too, so one check covers the
     # flag and the environment variable
     sub.add_argument(
         "--threads",
-        type=_int_at_least(1),
+        type=_bounded_int(1),
         default=os.environ.get("ROBUSTCUSUM_THREADS", str(os.cpu_count() or 1)),
         help="worker threads for Monte Carlo trials, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism)",
     )
@@ -98,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=desc, description=desc)
         _add_common(sub)
         if name == "verify":
-            sub.add_argument("--members", type=_int_at_least(1), default=10, help="sampled members per class (>= 1)")
+            sub.add_argument("--members", type=_bounded_int(1), default=10, help="sampled members per class (>= 1)")
             sub.add_argument(
-                "--samples", type=_int_at_least(2), default=100_000, help="Monte Carlo draws per member (>= 2)"
+                "--samples", type=_bounded_int(2), default=100_000, help="Monte Carlo draws per member (>= 2)"
             )
     return parser
 
@@ -158,12 +158,8 @@ def _emit(text: str, out):
             fh.write(text)
 
 
-def _num(x) -> str:
-    return repr(float(x))
-
-
 def _vec(v) -> str:
-    return ";".join(repr(float(x)) for x in np.asarray(v).ravel())
+    return ";".join(format_cell(x) for x in np.asarray(v, dtype=float).ravel())
 
 
 def _cmd_lfp(cfg, args, progress):
@@ -172,8 +168,8 @@ def _cmd_lfp(cfg, args, progress):
         prep = prepare_scenario(cfg, scen, progress=progress)
         sol = prep.solution
         rows.append(
-            [scen.name, _num(sol.delta_sq), _num(sol.epsilon_star), str(sol.iterations), _num(sol.residual),
-             _vec(sol.mu0_star), _vec(sol.mu1_star)]
+            [scen.name, format_cell(sol.delta_sq), format_cell(sol.epsilon_star), str(sol.iterations),
+             format_cell(sol.residual), _vec(sol.mu0_star), _vec(sol.mu1_star)]
         )
     header = ["scenario", "delta_sq", "epsilon_star", "iterations", "residual", "mu0_star", "mu1_star"]
     return render_table(header, rows, args.format)
@@ -186,8 +182,8 @@ def _cmd_detector(cfg, args, progress):
         sol = prep.solution
         if args.format == "csv":
             rows.append(
-                [scen.name, _num(sol.sv), _num(sol.gap), _num(sol.epsilon_star), str(sol.iterations),
-                 _vec(sol.h_star), _vec(sol.H_star)]
+                [scen.name, format_cell(sol.sv), format_cell(sol.gap), format_cell(sol.epsilon_star),
+                 str(sol.iterations), _vec(sol.h_star), _vec(sol.H_star)]
             )
         else:
             rows.append(
@@ -205,7 +201,7 @@ def _cmd_calibrate(cfg, args, progress):
         for procedure, det in prep.procedures:
             b_theory = certified_threshold(cfg.gamma, det)
             b_cal = calibrated_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
-            rows.append([scen.name, procedure, _num(b_theory), _num(b_cal)])
+            rows.append([scen.name, procedure, format_cell(b_theory), format_cell(b_cal)])
     return render_table(["scenario", "procedure", "b_theoretical", "b_calibrated"], rows, args.format)
 
 
@@ -220,7 +216,7 @@ def _cmd_arl(cfg, args, progress):
                 det, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
                 scenario_index=scen.index, threads=args.threads,
             )
-            rows.append([scen.name, procedure, _num(b), _num(mean), _num(se), _num(censored)])
+            rows.append([scen.name, procedure] + [format_cell(x) for x in (b, mean, se, censored)])
     return render_table(["scenario", "procedure", "b", "arl_mean", "arl_se", "censored_fraction"], rows, args.format)
 
 
@@ -231,9 +227,10 @@ def _cmd_edd(cfg, args, progress):
         for procedure, det in prep.procedures:
             b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
             progress(f"{scen.name}/{procedure}: delays at b={b:.5g}")
-            times = _delay_times(det, b, cfg.delay_horizon, scen.delay_trials, cfg.seed, scen.index, prep.post_draw, args.threads)
-            mean, sd, censored = delay_summary(times, cfg.delay_horizon)
-            rows.append([scen.name, procedure, _num(b), _num(mean), _num(sd), str(censored)])
+            mean, sd, censored = estimate_wdd(
+                det, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index, threads=args.threads
+            )
+            rows.append([scen.name, procedure] + [format_cell(x) for x in (b, mean, sd, censored)])
     return render_table(["scenario", "procedure", "b", "wdd_mean", "wdd_sd", "censored"], rows, args.format)
 
 
@@ -242,37 +239,17 @@ def _cmd_verify(cfg, args, progress):
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
         progress(f"{scen.name}: sampling class members")
-        members0, members1 = _class_members(cfg, scen, prep, args.members)
+        members0, members1 = class_members(cfg, scen, prep, args.members)
         report = verify_detector_bounds(
             prep.robust_detector, members0, members1, args.samples, cfg.seed, scenario_index=scen.index
         )
         for e in report.entries:
             rows.append(
-                [scen.name, str(e.side), str(e.index), e.method, _num(e.value), _num(e.std_error),
-                 _num(e.bound), "pass" if e.passed else "FAIL"]
+                [scen.name, str(e.side), str(e.index), e.method, format_cell(e.value), format_cell(e.std_error),
+                 format_cell(e.bound), "pass" if e.passed else "FAIL"]
             )
     header = ["scenario", "side", "member", "method", "moment", "std_error", "bound", "status"]
     return render_table(header, rows, args.format)
-
-
-def _class_members(cfg, scen, prep, n_members):
-    """Gaussians sampled from the scenario's declared classes."""
-    rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_VERIFY, 1 << 30)).generator()
-    (mean0, cov0), (mean1, cov1) = scen.classes
-    members0, members1 = [], []
-    if scen.kind == "mean_shift":
-        sol = prep.solution
-        members0.append(Gaussian(sol.mu0_star, cov0))
-        members1.append(Gaussian(sol.mu1_star, cov1))
-        for _ in range(n_members - 1):
-            members0.append(Gaussian(mean0.sample_member(rng), cov0))
-            members1.append(Gaussian(mean1.sample_member(rng), cov1))
-    else:
-        jitter = 1e-9 * np.eye(cfg.dimension)  # keep sampled members factorizable
-        for _ in range(n_members):
-            members0.append(Gaussian(mean0, cov0.sample_member(rng) + jitter))
-            members1.append(Gaussian(mean1, cov1.sample_member(rng) + jitter))
-    return members0, members1
 
 
 def _cmd_experiment(cfg, args, progress):

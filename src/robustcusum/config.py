@@ -32,6 +32,7 @@ from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVe
 
 THRESHOLD_MODES = ("theoretical", "calibrated")
 SCENARIO_KINDS = ("mean_shift", "covariance_shift")
+SEED_LIMIT = 1 << 64  # a seed is one 64-bit word of the Philox key; a larger one would alias
 
 _SOLVER_KEYS = ("lfp_tol", "lfp_max_iters", "beta", "gap_tol", "saddle_max_iters")
 
@@ -91,13 +92,16 @@ class _Validator:
             return None
         return float(val)
 
-    def integer(self, obj, path, key, *, minimum=None):
+    def integer(self, obj, path, key, *, minimum=None, below=None):
         val = obj.get(key)
         if not isinstance(val, int) or isinstance(val, bool):
             self.fail(f"{path}.{key}", f"must be an integer, got {val!r}")
             return None
         if minimum is not None and val < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
+            return None
+        if below is not None and val >= below:
+            self.fail(f"{path}.{key}", f"must be < {below}, got {val}")
             return None
         return val
 
@@ -349,7 +353,7 @@ def _validate(doc, v: _Validator) -> tuple:
         if key in doc:
             v.integer(doc, "document", key, minimum=MIN_TRIALS)
     if "seed" in doc:
-        v.integer(doc, "document", "seed", minimum=0)
+        v.integer(doc, "document", "seed", minimum=0, below=SEED_LIMIT)
     if "threshold_mode" in doc and doc["threshold_mode"] not in THRESHOLD_MODES:
         v.fail("document.threshold_mode", f"must be one of {THRESHOLD_MODES}, got {doc['threshold_mode']!r}")
     if "arl_horizon_factor" in doc:
@@ -412,8 +416,9 @@ def _build_scenario(scen, index, d, delay_trials, v: _Validator, names: set):
     if not v.require_keys(scen, path, required, optional):
         return None
     name = scen.get("name")
-    if not isinstance(name, str) or not name or "," in name:
-        v.fail(f"{path}.name", "must be a non-empty string without commas")
+    # a name is a bare CSV cell in every artifact
+    if not isinstance(name, str) or not name or any(ch in name for ch in ',"\n\r'):
+        v.fail(f"{path}.name", "must be a non-empty string without commas, quotes or line breaks")
     elif name in names:
         v.fail(f"{path}.name", f"duplicate scenario name '{name}'")
     else:

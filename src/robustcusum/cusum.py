@@ -25,12 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, DomainError, StreamExhaustedError
-from .gaussian import Gaussian, SeededStream, sample_with
+from .gaussian import Gaussian, sample_with
 
 _DEFAULT_BLOCK = 1024
-
-# stream_id lane reserved for calibration trials (see simulate.stream_id)
-LANE_CALIBRATION = 3
 
 # fewest trials a Monte Carlo estimate (ARL, delay, calibration) accepts
 MIN_TRIALS = 100
@@ -76,18 +73,13 @@ class StoppingResult:
 
 
 class GaussianSource:
-    """Endless observation source: i.i.d. rows from one Gaussian, one stream.
+    """Endless observation source: i.i.d. rows from one Gaussian, drawn from
+    an already-positioned generator, so a caller can draw trial parameters
+    and observations from the same substream."""
 
-    Pass either a SeededStream or an already-positioned generator (`rng=`);
-    the latter lets a caller draw trial parameters and observations from the
-    same substream.
-    """
-
-    def __init__(self, gaussian: Gaussian, stream: SeededStream | None = None, *, rng: np.random.Generator | None = None):
-        if (stream is None) == (rng is None):
-            raise ValueError("provide exactly one of stream or rng")
+    def __init__(self, gaussian: Gaussian, rng: np.random.Generator):
         self.gaussian = gaussian
-        self._rng = rng if rng is not None else stream.generator()
+        self._rng = rng
 
     @property
     def dim(self):
@@ -191,7 +183,7 @@ def alarm_times(detector, draw, streams, b: float, horizon: int, *, threads: int
     def run_range(lo, hi):
         for i in range(lo, hi):
             rng = streams[i].generator()
-            res = run_until_alarm(detector, GaussianSource(draw(rng), rng=rng), b, horizon)
+            res = run_until_alarm(detector, GaussianSource(draw(rng), rng), b, horizon)
             out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
 
     if threads <= 1 or n < 2:
@@ -215,31 +207,29 @@ def calibrate_threshold_mc(
     detector,
     nu0: Gaussian,
     gamma: float,
-    trials: int,
-    seed: int,
+    streams,
     *,
     horizon: int | None = None,
     threads: int = 1,
-    stream_ids=None,
     progress=None,
 ) -> float:
     """Bisect on b until the Monte Carlo ARL under nu0 is within 5 % of gamma.
 
     Censored runs count at the horizon (default ARL_HORIZON_FACTOR * gamma),
     which biases the ARL estimate downward, so the calibrated threshold errs
-    conservative.  Every evaluation reuses the same per-trial streams (common
-    random numbers), making the estimated ARL monotone in b.
+    conservative.  Every evaluation reuses the `streams` (a sequence of
+    SeededStream, one per trial: common random numbers), making the
+    estimated ARL monotone in b.  A certified b <= 0 is itself the upper end
+    of the starting bracket.
     """
+    trials = len(streams)
     if trials < MIN_TRIALS:
         raise DomainError(f"calibration needs at least {MIN_TRIALS} trials, got {trials}")
     if not gamma > 1.0:
         raise DomainError(f"gamma must be > 1, got {gamma}")
     horizon = int(horizon if horizon is not None else round(ARL_HORIZON_FACTOR * gamma))
     b_theory = certified_threshold(gamma, detector)
-    lo, hi = 0.1 * b_theory, 2.0 * b_theory + 10.0
-    if stream_ids is None:
-        stream_ids = [(LANE_CALIBRATION << 40) | t for t in range(trials)]
-    streams = [SeededStream(seed, sid) for sid in stream_ids]
+    lo, hi = (0.1 * b_theory, 2.0 * b_theory + 10.0) if b_theory > 0 else (2.0 * b_theory - 10.0, b_theory)
 
     def arl(b):
         times = alarm_times_gaussian(detector, nu0, streams, b, horizon, threads=threads)

@@ -11,19 +11,19 @@ Stream discipline: every Monte Carlo trial owns one substream, with the id
 composed as (scenario_index << 48) | (lane << 40) | trial.  Lanes separate
 ARL runs, delay runs, calibration, bound audits and design-time draws, so no
 two uses ever share a stream and results are independent of thread count.
+This module is the only one that composes stream ids.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import ExperimentConfig, ScenarioConfig
-from .cusum import DEFAULT_DELAY_HORIZON, LANE_CALIBRATION, MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
+from .cusum import MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
 from .errors import CalibrationError, ConvergenceError, DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence, sample
 from .lfp import AffineDetector, build_affine_detector, solve_lfp
@@ -31,7 +31,7 @@ from .quadratic import ClassSetup, SingletonMean, build_quadratic_detector, llr_
 
 LANE_ARL = 1
 LANE_WDD = 2
-# LANE_CALIBRATION (3) is defined in cusum, whose default calibration streams use it
+LANE_CALIBRATION = 3
 LANE_VERIFY = 4
 LANE_DESIGN = 6
 
@@ -39,18 +39,6 @@ LANE_DESIGN = 6
 def stream_id(scenario_index: int, lane: int, trial: int) -> int:
     """Compose a collision-free substream id (trial < 2**40)."""
     return (scenario_index << 48) | (lane << 40) | trial
-
-
-@dataclass(frozen=True)
-class ChangeScenario:
-    """True data-generating pair around an unknown change time."""
-
-    nu0_true: Gaussian
-    nu1_true: Gaussian
-
-    def __post_init__(self):
-        if self.nu0_true.dim != self.nu1_true.dim:
-            raise DomainError(f"pre/post dimensions differ: {self.nu0_true.dim} vs {self.nu1_true.dim}")
 
 
 @dataclass(frozen=True)
@@ -71,24 +59,12 @@ class RunReport:
     efficiency_factor: float | None = None
 
 
-CSV_COLUMNS = (
-    "scenario",
-    "procedure",
-    "d",
-    "gamma",
-    "b",
-    "epsilon_star",
-    "arl_mean",
-    "arl_se",
-    "wdd_mean",
-    "wdd_sd",
-    "censored_fraction",
-    "trials",
-    "seed",
-)
+# the CSV carries every report field but the human-only efficiency factor
+CSV_COLUMNS = tuple(f.name for f in fields(RunReport) if f.name != "efficiency_factor")
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """One table cell: floats as their round-trip repr, None as empty."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -114,7 +90,7 @@ def render_table(header, rows, fmt: str) -> str:
 
 
 def to_csv(reports) -> str:
-    rows = [[_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in reports]
+    rows = [[format_cell(getattr(r, col)) for col in CSV_COLUMNS] for r in reports]
     return render_table(CSV_COLUMNS, rows, "csv")
 
 
@@ -129,7 +105,7 @@ def render_human(reports) -> str:
             if col in float_cols and value is not None:
                 row.append(f"{float(value):.6g}")
             else:
-                row.append(_fmt(value))
+                row.append(format_cell(value))
         row.append("-" if r.efficiency_factor is None else f"{r.efficiency_factor:.4g}")
         rows.append(row)
     return render_table(list(CSV_COLUMNS) + ["efficiency_factor"], rows, "human")
@@ -171,20 +147,18 @@ def delay_summary(times: np.ndarray, horizon: int):
     return float(np.mean(kept)), sd, censored
 
 
-def estimate_wdd(detector, b: float, scenario: ChangeScenario, trials: int, seed: int, *, horizon: int = DEFAULT_DELAY_HORIZON, scenario_index: int = 0, threads: int = 1):
-    """(mean, standard deviation) of the detection delay at the worst case.
+def estimate_wdd(detector, b: float, draw, trials: int, horizon: int, seed: int, *, scenario_index: int = 0, threads: int = 1):
+    """(mean, standard deviation, censored count) of the worst-case detection
+    delay; `draw(rng) -> Gaussian` gives each trial its post-change law.
 
     Change at time 1 with the statistic at the reset barrier (from the reset
     state the delay law is the same for every change time).  Censored trials
-    are excluded from the estimate and reported via a warning.
+    are excluded from the moments and counted.
     """
     if trials < MIN_TRIALS:
         raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    times = _delay_times(detector, b, horizon, trials, seed, scenario_index, lambda rng: scenario.nu1_true, threads)
-    mean, sd, n_censored = delay_summary(times, horizon)
-    if n_censored:
-        warnings.warn(f"{n_censored}/{trials} delay trials censored at horizon {horizon} and excluded", stacklevel=2)
-    return mean, sd
+    times = _delay_times(detector, b, horizon, trials, seed, scenario_index, draw, threads)
+    return delay_summary(times, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +231,26 @@ def _phi_values(detector, x: np.ndarray) -> np.ndarray:
     return -np.asarray(detector.increments(x), dtype=float)
 
 
+def class_members(cfg: ExperimentConfig, scen: ScenarioConfig, prep: PreparedScenario, n_members: int):
+    """Gaussians sampled from the scenario's declared classes."""
+    rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_VERIFY, 1 << 30)).generator()
+    (mean0, cov0), (mean1, cov1) = scen.classes
+    members0, members1 = [], []
+    if scen.kind == "mean_shift":
+        sol = prep.solution
+        members0.append(Gaussian(sol.mu0_star, cov0))
+        members1.append(Gaussian(sol.mu1_star, cov1))
+        for _ in range(n_members - 1):
+            members0.append(Gaussian(mean0.sample_member(rng), cov0))
+            members1.append(Gaussian(mean1.sample_member(rng), cov1))
+    else:
+        jitter = 1e-9 * np.eye(cfg.dimension)  # keep sampled members factorizable
+        for _ in range(n_members):
+            members0.append(Gaussian(mean0, cov0.sample_member(rng) + jitter))
+            members1.append(Gaussian(mean1, cov1.sample_member(rng) + jitter))
+    return members0, members1
+
+
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
@@ -270,7 +264,6 @@ class PreparedScenario:
     robust_detector: object
     baseline_detector: object
     nu0_true: Gaussian
-    epsilon_star: float
     efficiency_factor: float | None
     post_draw: object  # draw(rng) -> Gaussian, per-trial true post-change law
     solution: object
@@ -317,7 +310,7 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
 
     eps = sol.epsilon_star
     efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
-    return PreparedScenario(scen, robust, baseline, nu0_true, eps, efficiency, post_draw, sol)
+    return PreparedScenario(scen, robust, baseline, nu0_true, efficiency, post_draw, sol)
 
 
 def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
@@ -326,18 +319,11 @@ def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector
     if progress:
         progress(f"{prep.config.name}/{procedure}: calibrating threshold")
     lane_offset = 0 if procedure == "robust" else 1 << 30
-    ids = [stream_id(prep.config.index, LANE_CALIBRATION, lane_offset | t) for t in range(cfg.arl_trials)]
+    ids = (stream_id(prep.config.index, LANE_CALIBRATION, lane_offset | t) for t in range(cfg.arl_trials))
+    streams = [SeededStream(cfg.seed, sid) for sid in ids]
     with _failure_context(f"{prep.config.name}/{procedure}"):
         return calibrate_threshold_mc(
-            detector,
-            prep.nu0_true,
-            cfg.gamma,
-            cfg.arl_trials,
-            cfg.seed,
-            horizon=cfg.arl_horizon,
-            threads=threads,
-            stream_ids=ids,
-            progress=progress,
+            detector, prep.nu0_true, cfg.gamma, streams, horizon=cfg.arl_horizon, threads=threads, progress=progress
         )
 
 
@@ -365,13 +351,9 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
         )
         if progress:
             progress(f"{scen.name}/{procedure}: delays")
-        times = _delay_times(
-            detector, b, cfg.delay_horizon, scen.delay_trials, cfg.seed,
-            scen.index,
-            prep.post_draw,
-            threads,
+        wdd_mean, wdd_sd, _ = estimate_wdd(
+            detector, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index, threads=threads
         )
-        wdd_mean, wdd_sd, _ = delay_summary(times, cfg.delay_horizon)
         reports.append(
             RunReport(
                 scenario=scen.name,
@@ -379,7 +361,7 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
                 d=cfg.dimension,
                 gamma=cfg.gamma,
                 b=b,
-                epsilon_star=prep.epsilon_star if procedure == "robust" else None,
+                epsilon_star=prep.solution.epsilon_star if procedure == "robust" else None,
                 arl_mean=arl_mean,
                 arl_se=arl_se,
                 wdd_mean=wdd_mean,

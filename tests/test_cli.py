@@ -247,6 +247,20 @@ def test_bad_thread_count_is_usage_error(mini_cfg, monkeypatch, flags, env):
     assert "usage" in err and "argument --threads" in err
 
 
+@pytest.mark.parametrize(
+    "doc_seed, flags, where",
+    [(2**64, [], "document.seed"), (5, ["--seed", "-1"], "argument --seed"), (5, ["--seed", str(2**64)], "argument --seed")],
+    ids=["document-2**64", "flag-negative", "flag-2**64"],
+)
+def test_seed_outside_64_bits_is_rejected(tmp_path, doc_seed, flags, where):
+    # the seed is one 64-bit word of the Philox key: 2**64 + 7 would run as 7
+    path = tmp_path / "seed.cfg"
+    path.write_text(json.dumps({**MINI_CONFIG, "seed": doc_seed}))
+    code, out, err = run_cli(["lfp", "--config", str(path), "--quiet"] + flags)
+    assert code == 1 and out == ""
+    assert where in err
+
+
 def _unbracketed_baseline(raw):
     # the baseline's post-change law is its pre-change law: its increments
     # are all zero, so no threshold gives ARL = gamma within the horizon

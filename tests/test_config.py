@@ -104,6 +104,16 @@ def test_booleans_are_not_numbers_in_payloads():
     assert len(exc.value.violations) == 1
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"], ids=["comma", "quote", "newline", "carriage-return"])
+def test_scenario_name_must_be_a_bare_csv_cell(name):
+    # every artifact writes the name unquoted as a CSV cell
+    doc = _valid_doc()
+    doc["scenarios"][0]["name"] = name
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.name") as exc:
+        parse_config(json.dumps(doc))
+    assert len(exc.value.violations) == 1
+
+
 def test_beta_must_be_strictly_inside_unit_interval():
     doc = _valid_doc()
     doc["solver"] = {"beta": 1.0}

@@ -18,6 +18,7 @@ from robustcusum import (
     step,
     threshold_from_gamma,
 )
+from robustcusum.cusum import alarm_times_gaussian
 from robustcusum.lfp import AffineDetector
 
 
@@ -30,6 +31,11 @@ class ConstantDetector:
 
     def increments(self, observations):
         return np.full(len(np.atleast_2d(observations)), self.increment, dtype=float)
+
+
+def calibration_streams(seed, trials):
+    """Trial streams on the calibration lane of scenario 0."""
+    return [SeededStream(seed, (3 << 40) | t) for t in range(trials)]
 
 
 def brute_force_stat(increments, t):
@@ -106,8 +112,8 @@ def test_run_until_alarm_stream_exhaustion():
 def test_run_until_alarm_seeded_determinism():
     det = AffineDetector(a=np.array([-0.5, 0.2]), c=-0.05, epsilon_star=0.9)
     g = Gaussian(np.zeros(2), np.eye(2))
-    r1 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1)), 3.0, 10_000)
-    r2 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1)), 3.0, 10_000)
+    r1 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1).generator()), 3.0, 10_000)
+    r2 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1).generator()), 3.0, 10_000)
     assert r1.alarm_time == r2.alarm_time
 
 
@@ -158,10 +164,8 @@ def test_calibration_hits_target_arl():
     det = AffineDetector(a=np.array([-0.25, -0.25]), c=0.125, epsilon_star=math.exp(-0.5 / 8))
     nu0 = Gaussian(np.zeros(2), np.eye(2))
     gamma = 150.0
-    b = calibrate_threshold_mc(det, nu0, gamma, trials=150, seed=3)
-    streams = [SeededStream(3, (3 << 40) | t) for t in range(150)]
-    from robustcusum.cusum import alarm_times_gaussian
-
+    streams = calibration_streams(3, 150)
+    b = calibrate_threshold_mc(det, nu0, gamma, streams)
     times = alarm_times_gaussian(det, nu0, streams, b, int(50 * gamma))
     arl = float(np.mean(np.minimum(times, int(50 * gamma))))
     assert 0.95 * gamma <= arl <= 1.05 * gamma
@@ -170,8 +174,8 @@ def test_calibration_hits_target_arl():
 def test_calibration_monotone_in_gamma():
     det = AffineDetector(a=np.array([-0.2]), c=0.04, epsilon_star=math.exp(-0.16 / 8))
     nu0 = Gaussian(np.zeros(1), np.eye(1))
-    b_small = calibrate_threshold_mc(det, nu0, 100.0, trials=120, seed=5)
-    b_large = calibrate_threshold_mc(det, nu0, 1000.0, trials=120, seed=5)
+    b_small = calibrate_threshold_mc(det, nu0, 100.0, calibration_streams(5, 120))
+    b_large = calibrate_threshold_mc(det, nu0, 1000.0, calibration_streams(5, 120))
     assert b_large > b_small
 
 
@@ -183,19 +187,35 @@ def test_calibrated_threshold_below_certified_bound_on_desk_l1():
     d, gamma = 10, 500.0
     sol = solve_lfp(SingletonVector(np.zeros(d)), L1Ball(np.ones(d), 0.9 * d), np.eye(d))
     det = build_affine_detector(sol, np.eye(d))
-    b_cal = calibrate_threshold_mc(det, Gaussian(np.zeros(d), np.eye(d)), gamma, trials=200, seed=17)
+    b_cal = calibrate_threshold_mc(det, Gaussian(np.zeros(d), np.eye(d)), gamma, calibration_streams(17, 200))
     assert b_cal <= threshold_from_gamma(gamma, sol.epsilon_star) + 0.5
+
+
+def test_calibration_brackets_nonpositive_certified_threshold():
+    # d=1 pair detector for mu1 = 9.5: the certified threshold is about
+    # -5.07, so the bracket is [2 b - 10, b] with the certified b on top
+    mu, gamma = 9.5, 500.0
+    det = AffineDetector(a=np.array([-mu / 2]), c=mu**2 / 4, epsilon_star=math.exp(-(mu**2) / 8))
+    nu0 = Gaussian(np.zeros(1), np.eye(1))
+    b_theory = threshold_from_gamma(gamma, det.epsilon_star)
+    assert b_theory < 0
+    streams = calibration_streams(1, 200)
+    b = calibrate_threshold_mc(det, nu0, gamma, streams)
+    assert b < b_theory
+    horizon = int(50 * gamma)
+    arl = float(np.mean(np.minimum(alarm_times_gaussian(det, nu0, streams, b, horizon), horizon)))
+    assert 0.95 * gamma <= arl <= 1.05 * gamma
 
 
 def test_calibration_bracket_failure_reports_endpoints():
     det = ConstantDetector(-1.0)  # never alarms: ARL is the horizon everywhere
     nu0 = Gaussian(np.zeros(1), np.eye(1))
     with pytest.raises(CalibrationError) as exc:
-        calibrate_threshold_mc(det, nu0, 150.0, trials=100, seed=1, horizon=500)
+        calibrate_threshold_mc(det, nu0, 150.0, calibration_streams(1, 100), horizon=500)
     assert exc.value.arl_low is not None
 
 
 def test_calibration_requires_enough_trials():
     det = ConstantDetector(1.0)
     with pytest.raises(DomainError, match="100"):
-        calibrate_threshold_mc(det, Gaussian(np.zeros(1), np.eye(1)), 100.0, trials=50, seed=0)
+        calibrate_threshold_mc(det, Gaussian(np.zeros(1), np.eye(1)), 100.0, calibration_streams(0, 50))

@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 from robustcusum import (
-    ChangeScenario,
     DomainError,
     Gaussian,
     L1Ball,
@@ -87,24 +86,21 @@ def test_estimate_arl_reproducible():
 
 
 def test_estimate_wdd_deterministic_ramp():
-    scen = ChangeScenario(NU, NU)
-    mean, sd = estimate_wdd(ConstantDetector(1.0), 10.0, scen, trials=100, seed=0)
-    assert mean == 10.0 and sd == 0.0
+    mean, sd, censored = estimate_wdd(ConstantDetector(1.0), 10.0, lambda rng: NU, trials=100, horizon=10_000, seed=0)
+    assert mean == 10.0 and sd == 0.0 and censored == 0
 
 
 def test_estimate_wdd_monotone_in_threshold():
     sol = solve_lfp(SingletonVector(np.zeros(2)), SingletonVector(np.array([0.4, 0.4])), np.eye(2))
     det = build_affine_detector(sol, np.eye(2))
-    scen = ChangeScenario(Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.array([0.4, 0.4]), np.eye(2)))
-    means = [estimate_wdd(det, b, scen, trials=150, seed=3)[0] for b in (2.0, 4.0, 8.0)]
+    nu1 = Gaussian(np.array([0.4, 0.4]), np.eye(2))
+    means = [estimate_wdd(det, b, lambda rng: nu1, trials=150, horizon=10_000, seed=3)[0] for b in (2.0, 4.0, 8.0)]
     assert means[0] < means[1] < means[2]
 
 
-def test_estimate_wdd_excludes_censored_with_warning():
-    scen = ChangeScenario(NU, NU)
-    with pytest.warns(UserWarning, match="censored"):
-        mean, sd = estimate_wdd(ConstantDetector(-1.0), 5.0, scen, trials=100, seed=0, horizon=50)
-    assert math.isnan(mean)
+def test_estimate_wdd_excludes_and_counts_censored():
+    mean, sd, censored = estimate_wdd(ConstantDetector(-1.0), 5.0, lambda rng: NU, trials=100, horizon=50, seed=0)
+    assert math.isnan(mean) and math.isnan(sd) and censored == 100
 
 
 def test_delay_summary_censoring_edges():
@@ -112,11 +108,6 @@ def test_delay_summary_censoring_edges():
     assert math.isnan(mean) and math.isnan(sd) and censored == 2
     assert delay_summary(np.array([7, 51]), 50) == (7.0, 0.0, 1)
     assert delay_summary(np.array([4, 6, 51]), 50) == (5.0, math.sqrt(2.0), 1)
-
-
-def test_change_scenario_validation():
-    with pytest.raises(DomainError):
-        ChangeScenario(NU, Gaussian(np.zeros(2), np.eye(2)))
 
 
 def test_verify_bounds_affine_exact_at_least_favorable_pair():
