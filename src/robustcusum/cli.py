@@ -77,7 +77,7 @@ def _add_common(sub):
         "--threads",
         type=_bounded_int(1),
         default=os.environ.get("ROBUSTCUSUM_THREADS", str(os.cpu_count() or 1)),
-        help="worker threads for Monte Carlo trials, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism)",
+        help="worker threads for Monte Carlo ARL and delay trials, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism)",
     )
     sub.add_argument("--quiet", action="store_true", help="suppress progress messages on stderr")
     sub.add_argument("--scenario", default=None, help="restrict to one scenario by name")
@@ -200,7 +200,7 @@ def _cmd_calibrate(cfg, args, progress):
         prep = prepare_scenario(cfg, scen, progress=progress)
         for procedure, det in prep.procedures:
             b_theory = certified_threshold(cfg.gamma, det)
-            b_cal = calibrated_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
+            b_cal = calibrated_threshold(cfg, prep, det, procedure, progress=progress)
             rows.append([scen.name, procedure, format_cell(b_theory), format_cell(b_cal)])
     return render_table(["scenario", "procedure", "b_theoretical", "b_calibrated"], rows, args.format)
 
@@ -210,7 +210,7 @@ def _cmd_arl(cfg, args, progress):
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
         for procedure, det in prep.procedures:
-            b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
+            b = pick_threshold(cfg, prep, det, procedure, progress=progress)
             progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
             mean, se, censored = estimate_arl(
                 det, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
@@ -225,7 +225,7 @@ def _cmd_edd(cfg, args, progress):
     for scen in _select_scenarios(cfg, args):
         prep = prepare_scenario(cfg, scen, progress=progress)
         for procedure, det in prep.procedures:
-            b = pick_threshold(cfg, prep, det, procedure, threads=args.threads, progress=progress)
+            b = pick_threshold(cfg, prep, det, procedure, progress=progress)
             progress(f"{scen.name}/{procedure}: delays at b={b:.5g}")
             mean, sd, censored = estimate_wdd(
                 det, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index, threads=args.threads

@@ -11,14 +11,24 @@ of a Python loop per step:
 
     S_t = max(s0 + C_t, C_t - min_{0<=j<=t-1} C_j),   C_0 = 0, s0 = max(S_prev, 0)
 
+Blocks start at 16 rows and double up to 1,024, so a run that alarms early
+draws few rows it never scans.  Philox yields the same normals however a
+request is split, so the block sizes do not change the observations.
+
 Thresholds come either from the certified rule b = log(gamma) +
 log(eps*/(1-eps*)) or from Monte Carlo calibration via bisection on b with
 common random numbers per trial (so the estimated ARL is exactly monotone in
-b along the bisection).
+b along the bisection).  Calibration simulates each trial's path once, and
+only as far as the thresholds tried need: a trial keeps the records of its
+statistic (each new strict running maximum), and its alarm time at b is the
+time of the first record >= b.  An ARL evaluation stops summing trials as
+soon as their partial mean already exceeds gamma by more than the
+tolerance, since the full mean can only be larger.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -27,6 +37,8 @@ import numpy as np
 from .errors import CalibrationError, DomainError, StreamExhaustedError
 from .gaussian import Gaussian, sample_with
 
+# a run's first observation block; later blocks double up to _DEFAULT_BLOCK
+_FIRST_BLOCK = 16
 _DEFAULT_BLOCK = 1024
 
 # fewest trials a Monte Carlo estimate (ARL, delay, calibration) accepts
@@ -38,6 +50,8 @@ DEFAULT_DELAY_HORIZON = 10_000
 # calibration accepts a threshold whose ARL is within this fraction of gamma
 _CALIBRATION_REL_TOL = 0.05
 _MAX_BISECTIONS = 60
+# times calibration moves a bracket whose lower end has ARL above gamma down
+_MAX_BRACKET_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -124,19 +138,25 @@ def threshold_from_gamma(gamma: float, epsilon_star: float) -> float:
     return math.log(gamma) + math.log(epsilon_star / (1.0 - epsilon_star))
 
 
-def _scan_block(increments: np.ndarray, carry: float, b: float):
-    """First alarm index (0-based) within a block, else new carry.
+def _block_lengths(horizon: int, cap: int):
+    """Row counts of a run's successive blocks: _FIRST_BLOCK rows, doubling
+    up to `cap`, the last block cut at the horizon."""
+    consumed, n = 0, min(_FIRST_BLOCK, cap)
+    while consumed < horizon:
+        yield min(n, horizon - consumed)
+        consumed += n
+        n = min(2 * n, cap)
+
+
+def _scan_block(detector, source, n: int, carry: float) -> np.ndarray:
+    """The statistic over the next `n` rows of `source`, from `carry`.
 
     Implements S_t = max(carry + C_t, C_t - min_{j<t} C_j) for the block.
     """
+    increments = np.asarray(detector.increments(source.take(n)), dtype=float)
     c = np.concatenate([[0.0], np.cumsum(increments)])
     run_min = np.minimum.accumulate(c)[:-1]
-    stats = np.maximum(carry + c[1:], c[1:] - run_min)
-    hits = np.nonzero(stats >= b)[0]
-    if hits.size:
-        i = int(hits[0])
-        return i, float(stats[i])
-    return None, float(stats[-1])
+    return np.maximum(carry + c[1:], c[1:] - run_min)
 
 
 def run_until_alarm(detector, source, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK) -> StoppingResult:
@@ -145,17 +165,55 @@ def run_until_alarm(detector, source, b: float, horizon: int, *, block: int = _D
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     carry = 0.0
     consumed = 0
-    while consumed < horizon:
-        n = min(block, horizon - consumed)
-        observations = source.take(n)
-        increments = np.asarray(detector.increments(observations), dtype=float)
-        hit, stat = _scan_block(increments, carry, b)
-        if hit is not None:
-            consumed += hit + 1
-            return StoppingResult(alarm_time=consumed, final_statistic=stat, increments_consumed=consumed)
-        carry = max(stat, 0.0)
+    for n in _block_lengths(horizon, block):
+        stats = _scan_block(detector, source, n, carry)
+        hits = np.flatnonzero(stats >= b)
+        if hits.size:
+            consumed += int(hits[0]) + 1
+            return StoppingResult(alarm_time=consumed, final_statistic=float(stats[hits[0]]), increments_consumed=consumed)
+        carry = max(float(stats[-1]), 0.0)
         consumed += n
     return StoppingResult(alarm_time=None, final_statistic=carry, increments_consumed=consumed)
+
+
+class _LazyRun:
+    """One calibration trial, scanned only as far as the thresholds asked of
+    it need.
+
+    The first step with S_t >= b always sets a new running maximum, so the
+    alarm time at b is the time of the first record value >= b.  The path
+    advances in `run_until_alarm`'s blocks and from the same carry, so the
+    statistic, and with it every alarm time, equals that of a fresh
+    `run_until_alarm` on the trial's stream.
+    """
+
+    def __init__(self, detector, source, horizon: int):
+        self._detector = detector
+        self._source = source
+        self._horizon = horizon
+        self._blocks = _block_lengths(horizon, _DEFAULT_BLOCK)
+        self._carry = 0.0
+        self._consumed = 0
+        self._records = []  # strictly increasing record values of S_t
+        self._times = []  # the step (1-based) of each record
+
+    def run_length(self, b: float) -> int:
+        """min(alarm time at threshold b, horizon)."""
+        while not (self._records and self._records[-1] >= b) and self._consumed < self._horizon:
+            self._extend()
+        i = bisect.bisect_left(self._records, b)
+        return self._times[i] if i < len(self._times) else self._horizon
+
+    def _extend(self):
+        n = next(self._blocks)
+        stats = _scan_block(self._detector, self._source, n, self._carry)
+        prev = self._records[-1] if self._records else -np.inf
+        peaks = np.maximum(np.maximum.accumulate(stats), prev)
+        new = np.flatnonzero(peaks > np.concatenate(([prev], peaks[:-1])))
+        self._records.extend(stats[new].tolist())
+        self._times.extend((self._consumed + 1 + new).tolist())
+        self._carry = max(float(stats[-1]), 0.0)
+        self._consumed += n
 
 
 def certified_threshold(gamma: float, detector) -> float:
@@ -210,7 +268,6 @@ def calibrate_threshold_mc(
     streams,
     *,
     horizon: int | None = None,
-    threads: int = 1,
     progress=None,
 ) -> float:
     """Bisect on b until the Monte Carlo ARL under nu0 is within 5 % of gamma.
@@ -219,8 +276,10 @@ def calibrate_threshold_mc(
     which biases the ARL estimate downward, so the calibrated threshold errs
     conservative.  Every evaluation reuses the `streams` (a sequence of
     SeededStream, one per trial: common random numbers), making the
-    estimated ARL monotone in b.  A certified b <= 0 is itself the upper end
-    of the starting bracket.
+    estimated ARL monotone in b.  Each trial's path is simulated once and
+    only as far as the thresholds tried need.  A certified b <= 0 is itself
+    the upper end of the starting bracket; while the ARL at the lower end
+    exceeds gamma, the bracket moves down to (2 lo - 10, lo).
     """
     trials = len(streams)
     if trials < MIN_TRIALS:
@@ -230,34 +289,58 @@ def calibrate_threshold_mc(
     horizon = int(horizon if horizon is not None else round(ARL_HORIZON_FACTOR * gamma))
     b_theory = certified_threshold(gamma, detector)
     lo, hi = (0.1 * b_theory, 2.0 * b_theory + 10.0) if b_theory > 0 else (2.0 * b_theory - 10.0, b_theory)
+    runs = [_LazyRun(detector, GaussianSource(nu0, stream.generator()), horizon) for stream in streams]
+    tol = _CALIBRATION_REL_TOL * gamma
 
-    def arl(b):
-        times = alarm_times_gaussian(detector, nu0, streams, b, horizon, threads=threads)
-        return float(np.mean(np.minimum(times, horizon)))
+    def arl(b, decide=True):
+        """(ARL at b, whether it is exact).  With `decide`, the sum over
+        trials stops once the partial mean exceeds gamma + tol; that partial
+        mean is a lower bound, and the bisection's decision is the same."""
+        times = np.zeros(trials, dtype=np.int64)
+        total = 0
+        for i, run in enumerate(runs):
+            times[i] = t = run.run_length(b)
+            total += t
+            if decide and total / trials - gamma > tol:
+                return total / trials, False
+        return float(np.mean(times)), True
 
-    arl_lo = arl(lo)
-    if abs(arl_lo - gamma) <= _CALIBRATION_REL_TOL * gamma:
-        return lo
-    arl_hi = arl(hi)
-    if arl_lo > gamma or arl_hi < gamma:
-        raise CalibrationError(
+    def report(b, val, exact):
+        if progress is not None:
+            progress(f"calibration: b={b:.5g} ARL{'=' if exact else '>'}{val:.1f} target={gamma:g}")
+
+    def bracket_error(lo, hi):
+        arl_lo, arl_hi = arl(lo, decide=False)[0], arl(hi, decide=False)[0]
+        return CalibrationError(
             f"failed to bracket ARL={gamma:g}: ARL({lo:.4g})={arl_lo:.4g}, ARL({hi:.4g})={arl_hi:.4g}",
             arl_low=arl_lo,
             arl_high=arl_hi,
         )
+
+    arl_lo, _ = arl(lo)
+    if abs(arl_lo - gamma) <= tol:
+        return lo
+    if arl_lo > gamma:
+        for _ in range(_MAX_BRACKET_GROWTH):
+            lo, hi = 2.0 * lo - 10.0, lo
+            arl_lo, exact = arl(lo)
+            report(lo, arl_lo, exact)
+            if abs(arl_lo - gamma) <= tol:
+                return lo
+            if arl_lo < gamma:
+                break
+        else:
+            raise bracket_error(lo, hi)
+    elif arl(hi)[0] < gamma:
+        raise bracket_error(lo, hi)
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        val = arl(mid)
-        if progress is not None:
-            progress(f"calibration: b={mid:.5g} ARL={val:.1f} target={gamma:g}")
-        if abs(val - gamma) <= _CALIBRATION_REL_TOL * gamma:
+        val, exact = arl(mid)
+        report(mid, val, exact)
+        if abs(val - gamma) <= tol:
             return mid
         if val > gamma:
             hi = mid
         else:
             lo = mid
-    raise CalibrationError(
-        f"bisection did not settle within {_MAX_BISECTIONS} rounds (last bracket [{lo:.5g}, {hi:.5g}])",
-        arl_low=None,
-        arl_high=None,
-    )
+    raise bracket_error(lo, hi)

@@ -313,9 +313,10 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
     return PreparedScenario(scen, robust, baseline, nu0_true, efficiency, post_draw, sol)
 
 
-def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
+def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, progress=None) -> float:
     """Monte Carlo threshold under the true pre-change law; each procedure
-    calibrates on its own block of the scenario's calibration lane."""
+    calibrates on its own block of the scenario's calibration lane, on the
+    calling thread."""
     if progress:
         progress(f"{prep.config.name}/{procedure}: calibrating threshold")
     lane_offset = 0 if procedure == "robust" else 1 << 30
@@ -323,15 +324,15 @@ def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector
     streams = [SeededStream(cfg.seed, sid) for sid in ids]
     with _failure_context(f"{prep.config.name}/{procedure}"):
         return calibrate_threshold_mc(
-            detector, prep.nu0_true, cfg.gamma, streams, horizon=cfg.arl_horizon, threads=threads, progress=progress
+            detector, prep.nu0_true, cfg.gamma, streams, horizon=cfg.arl_horizon, progress=progress
         )
 
 
-def pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, threads: int, progress=None) -> float:
+def pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, progress=None) -> float:
     """The threshold the config's `threshold_mode` asks for."""
     if cfg.threshold_mode == "theoretical":
         return certified_threshold(cfg.gamma, detector)
-    return calibrated_threshold(cfg, prep, detector, procedure, threads=threads, progress=progress)
+    return calibrated_threshold(cfg, prep, detector, procedure, progress=progress)
 
 
 def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 1, progress=None) -> list[RunReport]:
@@ -339,7 +340,7 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
     prep = prepare_scenario(cfg, scen, progress=progress)
     reports = []
     for procedure, detector in prep.procedures:
-        b = pick_threshold(cfg, prep, detector, procedure, threads=threads, progress=progress)
+        b = pick_threshold(cfg, prep, detector, procedure, progress=progress)
         if progress:
             progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
         # both procedures reuse the same per-trial streams: each trial draws

@@ -291,6 +291,16 @@ def test_solver_failure_names_where_it_failed(tmp_path, command, edit, message):
     assert message in err
 
 
+def test_calibration_grows_bracket_when_lower_end_is_above_gamma():
+    # at seed 409 the cov_spectral baseline's ARL at 0.1 b_cert is 973.7 > 500:
+    # its threshold lies below the starting bracket, at about -2.31
+    code, out, err = run_cli(["calibrate", "--config", "table1_desk.cfg", "--seed", "409", "--quiet"])
+    assert code == 0, err
+    rows = {tuple(line.split(",")[:2]): float(line.split(",")[3]) for line in out.splitlines()[1:]}
+    assert len(rows) == 8
+    assert -2.4 < rows[("cov_spectral", "baseline")] < -2.2
+
+
 def _load_benchmark_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -344,8 +354,13 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
             ["detector", "--config", "table1_desk.cfg"],
             "53c36a7b2da7c05c6fe286048920e57f17d50f0d06cd9577d33e6fcdd61a62cb",
         ),
+        # the only byte pin of the calibration path above d=3
+        (
+            ["experiment", "--config", "table1_desk.cfg"],
+            "b7aa04e28529a18c3a644bcc108c7dfee50fef9a89b989d4d256a683265ec395",
+        ),
     ],
-    ids=["experiment-threads-1", "experiment-threads-2", "verify", "desk-detector"],
+    ids=["experiment-threads-1", "experiment-threads-2", "verify", "desk-detector", "desk-experiment"],
 )
 def test_every_config_branch_golden(argv, digest):
     code, out, err = run_cli(argv + ["--quiet"])

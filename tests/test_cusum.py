@@ -18,8 +18,9 @@ from robustcusum import (
     step,
     threshold_from_gamma,
 )
-from robustcusum.cusum import alarm_times_gaussian
+from robustcusum.cusum import _CALIBRATION_REL_TOL, _MAX_BISECTIONS, _LazyRun, alarm_times_gaussian, certified_threshold
 from robustcusum.lfp import AffineDetector
+from robustcusum.quadratic import llr_detector
 
 
 class ConstantDetector:
@@ -208,11 +209,93 @@ def test_calibration_brackets_nonpositive_certified_threshold():
 
 
 def test_calibration_bracket_failure_reports_endpoints():
-    det = ConstantDetector(-1.0)  # never alarms: ARL is the horizon everywhere
+    det = ConstantDetector(-1.0)  # the statistic stays at -1: ARL is the horizon for b > -1
     nu0 = Gaussian(np.zeros(1), np.eye(1))
     with pytest.raises(CalibrationError) as exc:
         calibrate_threshold_mc(det, nu0, 150.0, calibration_streams(1, 100), horizon=500)
     assert exc.value.arl_low is not None
+    # the bracket moves below -1, where every run alarms at step 1, and the
+    # bisection collapses on the jump there; both ends are evaluated in full
+    assert "failed to bracket ARL=150" in str(exc.value)
+    assert exc.value.arl_low == 1.0 and exc.value.arl_high == 500.0
+
+
+def eager_calibration(detector, nu0, gamma, streams, horizon=None):
+    """Oracle: calibration as it ran before trials were simulated lazily.
+    Every ARL evaluation re-runs every trial from step 0 on fresh streams."""
+    horizon = int(horizon if horizon is not None else round(50 * gamma))
+    b_theory = certified_threshold(gamma, detector)
+    lo, hi = (0.1 * b_theory, 2.0 * b_theory + 10.0) if b_theory > 0 else (2.0 * b_theory - 10.0, b_theory)
+    tol = _CALIBRATION_REL_TOL * gamma
+
+    def arl(b):
+        return float(np.mean(np.minimum(alarm_times_gaussian(detector, nu0, streams, b, horizon), horizon)))
+
+    arl_lo = arl(lo)
+    if abs(arl_lo - gamma) <= tol:
+        return lo
+    assert arl_lo < gamma < arl(hi), "the oracle covers only brackets that hold"
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        val = arl(mid)
+        if abs(val - gamma) <= tol:
+            return mid
+        if val > gamma:
+            hi = mid
+        else:
+            lo = mid
+    raise AssertionError("the oracle's bisection did not settle")
+
+
+AFFINE_2D = AffineDetector(a=np.array([-0.25, -0.25]), c=0.125, epsilon_star=math.exp(-0.5 / 8))
+WELL_SEPARATED = AffineDetector(a=np.array([-4.75]), c=9.5**2 / 4, epsilon_star=math.exp(-(9.5**2) / 8))
+VARIANCE_UP = llr_detector(Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.zeros(2), 1.6 * np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "detector, dim, gamma, seed, trials, decided_early",
+    [
+        (AFFINE_2D, 2, 150.0, 3, 150, True),
+        (VARIANCE_UP, 2, 200.0, 8, 120, True),
+        (AffineDetector(a=np.array([-0.2]), c=0.04, epsilon_star=math.exp(-0.16 / 8)), 1, 1000.0, 5, 120, True),
+        (WELL_SEPARATED, 1, 500.0, 1, 200, False),
+    ],
+    ids=["affine", "quadratic", "early-exit", "nonpositive-certified-b"],
+)
+def test_lazy_calibration_matches_eager_oracle(detector, dim, gamma, seed, trials, decided_early):
+    nu0 = Gaussian(np.zeros(dim), np.eye(dim))
+    lines = []
+    b = calibrate_threshold_mc(detector, nu0, gamma, calibration_streams(seed, trials), progress=lines.append)
+    assert b == eager_calibration(detector, nu0, gamma, calibration_streams(seed, trials))
+    # an evaluation that stopped once its partial mean passed 1.05 gamma
+    # reports that lower bound as "ARL>"
+    assert any("ARL>" in line for line in lines) == decided_early
+
+
+def test_lazy_run_lengths_match_run_until_alarm():
+    det, horizon = AFFINE_2D, 3000
+    nu0 = Gaussian(np.zeros(2), np.eye(2))
+    thresholds = np.random.default_rng(4).permutation(np.linspace(-1.0, 12.0, 27))
+    for stream in calibration_streams(11, 40):
+        run = _LazyRun(det, GaussianSource(nu0, stream.generator()), horizon)
+        for b in thresholds:
+            res = run_until_alarm(det, GaussianSource(nu0, stream.generator()), b, horizon)
+            assert run.run_length(b) == (horizon if res.alarm_time is None else res.alarm_time)
+
+
+def test_calibration_grows_bracket_below_lower_end():
+    # increments x - 3 with a loose certificate: ARL(0.1 b_cert) is far above
+    # gamma, so the bracket moves down to (2 lo - 10, lo); for b <= 0 each
+    # observation is tested alone and ARL = 1 / P(x - 3 >= b), about gamma at
+    # b = -0.12
+    det = AffineDetector(a=np.array([-1.0]), c=3.0, epsilon_star=0.999)
+    nu0 = Gaussian(np.zeros(1), np.eye(1))
+    gamma, horizon = 500.0, 25_000
+    streams = calibration_streams(2, 200)
+    b = calibrate_threshold_mc(det, nu0, gamma, streams)
+    assert -1.0 < b < 0.0 < 0.1 * certified_threshold(gamma, det)
+    arl = float(np.mean(np.minimum(alarm_times_gaussian(det, nu0, streams, b, horizon), horizon)))
+    assert abs(arl - gamma) <= 0.05 * gamma
 
 
 def test_calibration_requires_enough_trials():
