@@ -25,7 +25,13 @@ Structure of the saddle problem exploited here:
 The outer loop is projected subgradient descent with Polyak steps driven by
 the best certified lower bound, with iterate and inner-maximizer averaging;
 certificates are refreshed periodically until the duality gap passes the
-requested tolerance.
+requested tolerance.  Each certificate solves the fixed-Theta problem at the
+best and at the averaged Thetas (once when the two coincide) by projected
+gradient, which stops once its accepted steps only move the value's last
+digits: near the spectral-norm kink (delta > 0) it otherwise zig-zags for
+thousands of steps without improving the bound.  Every trial H of that inner
+loop is whitened and eigendecomposed once per class, and the exact h-solve and
+the objective share the result.
 """
 
 from __future__ import annotations
@@ -45,9 +51,13 @@ _DOMINATION_TOL = 1e-9
 _INTERVAL_DELTA_GRID = 17
 
 # saddle solver: outer iterations between certificates, steps per fixed-Theta
-# inner minimization, cyclic-projection sweeps and their stopping tolerance
+# inner minimization, the inner stagnation exit (that many accepted steps in a
+# row, each lowering the value by at most _INNER_STALL_TOL * (1 + |value|)),
+# cyclic-projection sweeps and their stopping tolerance
 _CHECK_EVERY = 250
 _INNER_MAX_ITERS = 4_000
+_INNER_STALL_STEPS = 20
+_INNER_STALL_TOL = 1e-8
 _PROJECTION_ROUNDS = 50
 _PROJECTION_TOL = 1e-12
 
@@ -214,15 +224,16 @@ def _whiten(setup: ClassSetup, big_a):
     return w, lam, q
 
 
-def _phi_pieces(setup: ClassSetup, a, big_a, theta=None):
+def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, white=None):
     """Value and gradients w.r.t. its own arguments of the bounding function
     at (a, A), with Theta either fixed or maximized exactly over the set.
+    `white` is _whiten(setup, A) when the caller already has it.
 
     Returns (value, grad_a, grad_A, theta_used).
     """
     d = setup.dim
     s_mat = setup.sqrt
-    w, lam, q = _whiten(setup, big_a)
+    w, lam, q = _whiten(setup, big_a) if white is None else white
     spec = float(np.max(np.abs(lam)))
     if spec >= 1.0 - _DOMAIN_MARGIN:
         raise DomainError(
@@ -351,32 +362,38 @@ class _SaddleProblem:
     def project(self, big_h):
         return project_feasible(big_h, (self.s0, self.s1), self.beta)
 
-    def value_grad(self, h, big_h, th0=None, th1=None):
+    def whiten(self, big_h):
+        """Each class's _whiten at H; class 0 sees -H."""
+        return _whiten(self.s0, -big_h), _whiten(self.s1, big_h)
+
+    def value_grad(self, h, big_h, th0=None, th1=None, white=None):
         """Objective with a subgradient and the Thetas used: fixed ones when
-        given, else the maximizers over the sets (the max-form objective g)."""
-        v0, ga0, gA0, th0 = _phi_pieces(self.s0, -h, -big_h, theta=th0)
-        v1, ga1, gA1, th1 = _phi_pieces(self.s1, h, big_h, theta=th1)
+        given, else the maximizers over the sets (the max-form objective g).
+        `white` is whiten(H) when the caller already has it."""
+        white0, white1 = self.whiten(big_h) if white is None else white
+        v0, ga0, gA0, th0 = _phi_pieces(self.s0, -h, -big_h, theta=th0, white=white0)
+        v1, ga1, gA1, th1 = _phi_pieces(self.s1, h, big_h, theta=th1, white=white1)
         val = 0.5 * (v0 + v1)
         gh = 0.5 * (ga1 - ga0)
         gH = 0.5 * (gA1 - gA0)
         return val, gh, gH, th0, th1
 
-    def exact_h(self, big_h):
-        """argmin over h of the objective at fixed H.
+    def exact_h(self, big_h, white):
+        """argmin over h of the objective at fixed H, given whiten(H).
 
         The h-dependence is quadratic with Hessian (R0^{-1} + R1^{-1}) / 2,
         independent of the Theta chosen in the linear term.
         """
         u0, u1 = self.s0.lift.u, self.s1.lift.u
-        r0_inv = self._r_inv(self.s0, -big_h)
-        r1_inv = self._r_inv(self.s1, big_h)
+        r0_inv = self._r_inv(self.s0, white[0])
+        r1_inv = self._r_inv(self.s1, white[1])
         lhs = 0.5 * (r0_inv + r1_inv)
         rhs = -0.5 * ((u1 - u0) + r0_inv @ (big_h @ u0) + r1_inv @ (big_h @ u1))
         return np.linalg.solve(lhs, rhs)
 
     @staticmethod
-    def _r_inv(setup, big_a):
-        _, lam, q = _whiten(setup, big_a)
+    def _r_inv(setup, white):
+        _, lam, q = white
         if np.max(np.abs(lam)) >= 1.0 - _DOMAIN_MARGIN:
             raise DomainError("detector matrix outside the feasible domain")
         return setup.sqrt @ (q / (1.0 - lam)) @ q.T @ setup.sqrt
@@ -414,14 +431,21 @@ class _SaddleProblem:
         """Minimize at fixed Thetas; returns (value, h, H, certified bound).
 
         Projected gradient with an Armijo sufficient-decrease test on the
-        h-eliminated objective; exits when no projected step of any length
-        still decreases the value (numerical stationarity).
+        h-eliminated objective.  Exits when no projected step of any length
+        still decreases the value (numerical stationarity), or when
+        _INNER_STALL_STEPS accepted steps in a row each lowered it by at most
+        _INNER_STALL_TOL * (1 + |value|): at the spectral-norm kink projected
+        gradient zig-zags with tiny steps that move only the value's last
+        digits, and the bound is as good as it will get.  Each candidate H is
+        whitened once per class; exact_h and value_grad share that.
         """
         big_h = self.project(big_h0)
-        h = self.exact_h(big_h)
-        val, gh, gH, _, _ = self.value_grad(h, big_h, th0, th1)
+        white = self.whiten(big_h)
+        h = self.exact_h(big_h, white)
+        val, gh, gH, _, _ = self.value_grad(h, big_h, th0, th1, white)
         step = 1.0
         scale = 1.0 + float(np.linalg.norm(big_h))
+        stalls = 0
         for _ in range(_INNER_MAX_ITERS):
             accepted = False
             for _bt in range(30):
@@ -429,15 +453,17 @@ class _SaddleProblem:
                 move = float(np.linalg.norm(cand_h_mat - big_h))
                 if move <= 1e-15 * scale:
                     break  # projected step is numerically a no-op
-                cand_h = self.exact_h(cand_h_mat)
-                cand_val, cand_gh, cand_gH, _, _ = self.value_grad(cand_h, cand_h_mat, th0, th1)
+                white = self.whiten(cand_h_mat)
+                cand_h = self.exact_h(cand_h_mat, white)
+                cand_val, cand_gh, cand_gH, _, _ = self.value_grad(cand_h, cand_h_mat, th0, th1, white)
                 if cand_val <= val - 1e-4 * move * move / step:
+                    stalls = stalls + 1 if val - cand_val <= _INNER_STALL_TOL * (1.0 + abs(val)) else 0
                     h, big_h, val, gh, gH = cand_h, cand_h_mat, cand_val, cand_gh, cand_gH
                     accepted = True
                     step *= 1.5
                     break
                 step *= 0.5
-            if not accepted:
+            if not accepted or stalls >= _INNER_STALL_STEPS:
                 break
         bound = self.dual_lower_bound(h, big_h, gh, gH, val)
         return val, h, big_h, bound
@@ -487,6 +513,9 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
             (sum_th0 / n_avg, sum_th1 / n_avg),
         ]
         for slot, (c_th0, c_th1) in enumerate(candidates):
+            if slot and all(map(np.array_equal, candidates[0], (c_th0, c_th1))):
+                warm[slot] = warm[0]  # the same fixed-Theta problem was just solved
+                continue
             warm_H = warm[slot] if warm[slot] is not None else best["H"]
             _, ih, iH, bound = prob.inner_min(c_th0, c_th1, warm_H)
             warm[slot] = iH

@@ -338,15 +338,15 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
     [
         (
             ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "1"],
-            "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991",
+            "a64e175508c30a1f37bce9033e11d92a323c96b9f214d4d0ab0229a2f164f0aa",
         ),
         (
             ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "2"],
-            "6378399878f7afe51ec89fe5d0c114c745bf6ddd32f0ebea8b4a474cfab86991",
+            "a64e175508c30a1f37bce9033e11d92a323c96b9f214d4d0ab0229a2f164f0aa",
         ),
         (
             ["verify", "--config", EVERY_BRANCH_CONFIG, "--samples", "2000"],
-            "e223861d46d3b1c43b5552083b810d178e9b1ddf520f1401669e696882d94042",
+            "32033cc4376206d8ef4cd147a97f3675ec1c786cb663728586d12966bdfcef88",
         ),
         # the only byte pin of the saddle solver above d=3: at d=10 the
         # cov_interval envelope theta_star is asymmetric in its last bits

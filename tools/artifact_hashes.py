@@ -13,7 +13,7 @@ on table1_paper.cfg without its cov_interval scenario (the config of the
 benchmark's paper_delay workload) and `detector` and `experiment` on
 table1_desk.cfg.  With these rows the table covers the artifacts of all
 four benchmark calls.  Each digest is printed as its first 16 hex digits.
-Takes about three minutes on 2 vCPUs.
+Takes about 13 s on 2 vCPUs with OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
