@@ -27,7 +27,7 @@ from .errors import (
     RobustCusumError,
     StreamExhaustedError,
 )
-from .gaussian import Gaussian, SeededStream, kl_divergence, mahalanobis_sq, sample
+from .gaussian import Gaussian, SeededStream, kl_divergence, mahalanobis_sq
 from .lfp import AffineDetector, LfpSolution, SolverOptions, build_affine_detector, solve_lfp
 from .quadratic import (
     ClassSetup,

@@ -347,8 +347,7 @@ def _validate(doc, v: _Validator) -> tuple:
     optional = ("arl_horizon_factor", "delay_horizon", "solver")
     v.require_keys(doc, "document", required, optional)
     d = v.integer(doc, "document", "dimension", minimum=1) if "dimension" in doc else None
-    if "gamma" in doc:
-        v.number(doc, "document", "gamma", exclusive_minimum=1.0)
+    gamma = v.number(doc, "document", "gamma", exclusive_minimum=1.0) if "gamma" in doc else None
     for key in ("arl_trials", "delay_trials"):
         if key in doc:
             v.integer(doc, "document", key, minimum=MIN_TRIALS)
@@ -357,7 +356,9 @@ def _validate(doc, v: _Validator) -> tuple:
     if "threshold_mode" in doc and doc["threshold_mode"] not in THRESHOLD_MODES:
         v.fail("document.threshold_mode", f"must be one of {THRESHOLD_MODES}, got {doc['threshold_mode']!r}")
     if "arl_horizon_factor" in doc:
-        v.number(doc, "document", "arl_horizon_factor", exclusive_minimum=0.0)
+        factor = v.number(doc, "document", "arl_horizon_factor", exclusive_minimum=0.0)
+        if factor is not None and gamma is not None and round(factor * gamma) < 1:
+            v.fail("document.arl_horizon_factor", f"the ARL horizon round({factor:g} * gamma) is 0 steps; it must be >= 1")
     if "delay_horizon" in doc:
         v.integer(doc, "document", "delay_horizon", minimum=1)
     lfp_options, saddle_options = _solver_options(doc.get("solver", {}), v)

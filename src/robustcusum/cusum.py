@@ -287,6 +287,8 @@ def calibrate_threshold_mc(
     if not gamma > 1.0:
         raise DomainError(f"gamma must be > 1, got {gamma}")
     horizon = int(horizon if horizon is not None else round(ARL_HORIZON_FACTOR * gamma))
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
     b_theory = certified_threshold(gamma, detector)
     lo, hi = (0.1 * b_theory, 2.0 * b_theory + 10.0) if b_theory > 0 else (2.0 * b_theory - 10.0, b_theory)
     runs = [_LazyRun(detector, GaussianSource(nu0, stream.generator()), horizon) for stream in streams]

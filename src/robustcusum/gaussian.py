@@ -13,6 +13,7 @@ construction, so Monte Carlo trials parallelize without shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +116,32 @@ def mahalanobis_sq(x, y, g: Gaussian) -> float:
     return float(z @ z)
 
 
-def sample(g: Gaussian, stream: SeededStream, n: int) -> np.ndarray:
-    """n i.i.d. rows from g, deterministic in the stream.
-
-    Re-sampling with the same stream reproduces the same matrix; use
-    ``stream.generator()`` directly when a single consumer needs to keep
-    drawing from one substream.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sample_with(g, stream.generator(), n)
-
-
 def sample_with(g: Gaussian, rng: np.random.Generator, n: int) -> np.ndarray:
     """n rows from g using an already-positioned generator (advances it)."""
     z = rng.standard_normal((n, g.dim))
     return z @ g.factor.T + g.mean
+
+
+def exp_quadratic_moment(g: Gaussian, big_a: np.ndarray, a: np.ndarray, c: float) -> float:
+    """E exp(x'Ax/2 + a'x + c) for x ~ g, in closed form; +inf where it diverges.
+
+    With Sigma = LL', M = I - L'AL and beta = L'(Am + a), the moment is
+    det(M)^{-1/2} exp(m'Am/2 + a'm + c + beta'M^{-1}beta/2), finite exactly
+    when M is positive definite (Mathai & Provost 1992, Quadratic Forms in
+    Random Variables).  The determinant and the solve share one Cholesky
+    factor of M.
+    """
+    low = g.factor
+    am = big_a @ g.mean
+    try:
+        root = np.linalg.cholesky(np.eye(g.dim) - low.T @ big_a @ low)
+    except np.linalg.LinAlgError:
+        return math.inf
+    z = solve_triangular(root, low.T @ (am + a), lower=True)
+    half_log_det = float(np.sum(np.log(np.diag(root))))
+    log_moment = 0.5 * float(g.mean @ am) + float(a @ g.mean) + c + 0.5 * float(z @ z) - half_log_det
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_moment))
 
 
 def kl_divergence(ga: Gaussian, gb: Gaussian) -> float:

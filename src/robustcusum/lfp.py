@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .gaussian import Gaussian, mahalanobis_sq, symmetrize
+from .gaussian import Gaussian, exp_quadratic_moment, mahalanobis_sq, symmetrize
 from .sets import VectorSet
 
 # Below this Mahalanobis gap the two uncertainty sets are treated as
@@ -135,15 +135,9 @@ class AffineDetector:
         x = np.atleast_2d(np.asarray(observations, dtype=float))
         return -(x @ self.a) - self.c
 
-    def moment_minus(self, g: Gaussian) -> float:
-        """E[exp(-phi(xi))] for xi ~ g, in closed form."""
-        half_quad = 0.5 * float(self.a @ (g.covariance @ self.a))
-        return math.exp(-float(self.a @ g.mean) - self.c + half_quad)
-
-    def moment_plus(self, g: Gaussian) -> float:
-        """E[exp(+phi(xi))] for xi ~ g, in closed form."""
-        half_quad = 0.5 * float(self.a @ (g.covariance @ self.a))
-        return math.exp(float(self.a @ g.mean) + self.c + half_quad)
+    def moment(self, g: Gaussian, sign: float) -> float:
+        """E[exp(sign * phi(xi))] for xi ~ g, in closed form."""
+        return exp_quadratic_moment(g, np.zeros((g.dim, g.dim)), sign * self.a, sign * self.c)
 
 
 def build_affine_detector(sol: LfpSolution, sigma) -> AffineDetector:

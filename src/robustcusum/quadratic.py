@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .gaussian import Gaussian, symmetrize
+from .gaussian import Gaussian, exp_quadratic_moment, symmetrize
 from .sets import MatrixInterval, MatrixSet, SingletonPSD, SpectralBall
 
 _DOMAIN_MARGIN = 1e-9
@@ -603,6 +603,10 @@ class QuadraticDetector:
         x = np.atleast_2d(np.asarray(observations, dtype=float))
         quad = 0.5 * np.einsum("ij,ij->i", x @ self.H, x)
         return -(quad + x @ self.h + self.kappa_const)
+
+    def moment(self, g: Gaussian, sign: float) -> float:
+        """E[exp(sign * phi(xi))] for xi ~ g, in closed form (+inf where it diverges)."""
+        return exp_quadratic_moment(g, sign * self.H, sign * self.h, sign * self.kappa_const)
 
 
 def build_quadratic_detector(sol: SaddleSolution, setup0: ClassSetup, setup1: ClassSetup) -> QuadraticDetector:

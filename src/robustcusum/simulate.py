@@ -1,5 +1,5 @@
-"""Monte Carlo evaluation: ARL, worst-case detection delay, bound audits,
-and the four-scenario experiment suite.
+"""Monte Carlo evaluation (ARL, worst-case detection delay), exact bound
+audits, and the four-scenario experiment suite.
 
 Worst-case delay convention: for the reflected CUSUM the essential supremum
 over pre-change histories is attained with the statistic at its reset
@@ -9,8 +9,10 @@ post-change observations from time 1.
 
 Stream discipline: every Monte Carlo trial owns one substream, with the id
 composed as (scenario_index << 48) | (lane << 40) | trial.  Lanes separate
-ARL runs, delay runs, calibration, bound audits and design-time draws, so no
-two uses ever share a stream and results are independent of thread count.
+ARL runs, delay runs, calibration, the class members a bound audit checks and
+design-time draws, so no two uses ever share a stream and results are
+independent of thread count.  The audit itself draws nothing: each member's
+moment is exact.
 This module is the only one that composes stream ids.
 """
 
@@ -25,8 +27,8 @@ import numpy as np
 from .config import ExperimentConfig, ScenarioConfig
 from .cusum import MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
 from .errors import CalibrationError, ConvergenceError, DomainError
-from .gaussian import Gaussian, SeededStream, kl_divergence, sample
-from .lfp import AffineDetector, build_affine_detector, solve_lfp
+from .gaussian import Gaussian, SeededStream, kl_divergence
+from .lfp import build_affine_detector, solve_lfp
 from .quadratic import ClassSetup, SingletonMean, build_quadratic_detector, llr_detector, solve_saddle
 
 LANE_ARL = 1
@@ -170,9 +172,7 @@ def estimate_wdd(detector, b: float, draw, trials: int, horizon: int, seed: int,
 class BoundCheck:
     side: int  # 0: E[exp(-phi)] under a pre-change member; 1: E[exp(+phi)] post-change
     index: int
-    method: str  # "exact" or "monte_carlo"
     value: float
-    std_error: float
     bound: float
     passed: bool
 
@@ -181,54 +181,28 @@ class BoundCheck:
 class BoundReport:
     entries: tuple
     epsilon_star: float
-    samples: int
 
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
 
-def verify_detector_bounds(detector, p0_members, p1_members, samples: int, seed: int, *, scenario_index: int = 0) -> BoundReport:
+def verify_detector_bounds(detector, p0_members, p1_members) -> BoundReport:
     """Check the certified exponential-moment bounds member by member.
 
-    Affine detectors use the exact Gaussian moment formula; quadratic ones
-    are estimated by Monte Carlo with `samples` draws per member.  A member
-    passes when its moment is below epsilon_star plus three standard errors.
+    Each member's moment is the detector's exact Gaussian moment; a member
+    passes when it is at most epsilon_star (plus 1e-10 for rounding) and
+    fails when it exceeds it or diverges.
     """
     eps = getattr(detector, "epsilon_star", None)
     if eps is None:
         raise DomainError("detector carries no certified risk to audit")
     entries = []
     for side, members in ((0, p0_members), (1, p1_members)):
-        sign = -1.0 if side == 0 else 1.0
         for idx, member in enumerate(members):
-            if isinstance(detector, AffineDetector):
-                value = detector.moment_minus(member) if side == 0 else detector.moment_plus(member)
-                se = 0.0
-                method = "exact"
-            else:
-                stream = SeededStream(seed, stream_id(scenario_index, LANE_VERIFY, (side << 20) | idx))
-                x = sample(member, stream, samples)
-                vals = np.exp(sign * _phi_values(detector, x))
-                value = float(np.mean(vals))
-                se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-                method = "monte_carlo"
-            entries.append(
-                BoundCheck(
-                    side=side,
-                    index=idx,
-                    method=method,
-                    value=value,
-                    std_error=se,
-                    bound=eps,
-                    passed=value <= eps + 3.0 * se + 1e-10,
-                )
-            )
-    return BoundReport(entries=tuple(entries), epsilon_star=eps, samples=samples)
-
-
-def _phi_values(detector, x: np.ndarray) -> np.ndarray:
-    return -np.asarray(detector.increments(x), dtype=float)
+            value = detector.moment(member, 1.0 if side else -1.0)
+            entries.append(BoundCheck(side=side, index=idx, value=value, bound=eps, passed=value <= eps + 1e-10))
+    return BoundReport(entries=tuple(entries), epsilon_star=eps)
 
 
 def class_members(cfg: ExperimentConfig, scen: ScenarioConfig, prep: PreparedScenario, n_members: int):

@@ -76,8 +76,8 @@ def test_criterion_04_exponential_moment_balance():
     sigma = np.diag(np.linspace(0.5, 3.0, d))
     sol = solve_lfp(SingletonVector(np.zeros(d)), L1Ball(np.ones(d), 4.0), sigma)
     det = build_affine_detector(sol, sigma)
-    m0 = det.moment_minus(Gaussian(sol.mu0_star, sigma))
-    m1 = det.moment_plus(Gaussian(sol.mu1_star, sigma))
+    m0 = det.moment(Gaussian(sol.mu0_star, sigma), -1.0)
+    m1 = det.moment(Gaussian(sol.mu1_star, sigma), 1.0)
     ok = abs(m0 - sol.epsilon_star) <= 1e-10 and abs(m1 - sol.epsilon_star) <= 1e-10
     _report(4, ok, f"|E0 - eps*|={abs(m0 - sol.epsilon_star):.2e}, |E1 - eps*|={abs(m1 - sol.epsilon_star):.2e}")
 
@@ -174,8 +174,8 @@ def test_criterion_09_quadratic_detector_bound_audit():
     jitter = 1e-9 * np.eye(d)
     members0 = [Gaussian(np.zeros(d), np.eye(d))]
     members1 = [Gaussian(np.zeros(d), ball.sample_member(rng) + jitter) for _ in range(19)]
-    report = verify_detector_bounds(det, members0, members1, samples=100_000, seed=911)
-    worst = max(e.value - (e.bound + 3.0 * e.std_error) for e in report.entries)
+    report = verify_detector_bounds(det, members0, members1)
+    worst = max(e.value - e.bound for e in report.entries)
     ok = report.all_passed and len(report.entries) == 20
     _report(9, ok, f"20 members audited against exp(sv)={math.exp(sol.sv):.6f}; worst margin {worst:.2e}")
 

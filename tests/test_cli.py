@@ -141,13 +141,41 @@ def test_detector_subcommand_reports_gap(mini_cfg):
 
 
 def test_verify_subcommand_all_pass(mini_cfg):
-    code, out, err = run_cli(
-        ["verify", "--config", mini_cfg, "--quiet", "--members", "4", "--samples", "20000"]
-    )
+    code, out, err = run_cli(["verify", "--config", mini_cfg, "--quiet", "--members", "4"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0].endswith("status")
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+@pytest.mark.parametrize("config", ["table1_desk.cfg", "table1_paper.cfg", "l1_mean.cfg"])
+def test_verify_bundled_config_all_pass(config):
+    code, out, err = run_cli(["verify", "--config", config, "--quiet"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "scenario,side,member,moment,bound,status"
+    assert len(lines) > 1 and all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_verify_divergent_moment_is_a_fail_row(mini_cfg, monkeypatch):
+    # a post-change member of covariance 10 I leaves I - 10 H indefinite for
+    # the cov_row detector (H about 0.18 I), so E exp(+phi) is infinite
+    import numpy as np
+
+    from robustcusum import Gaussian, cli
+
+    real = cli.class_members
+
+    def wide_member(cfg, scen, prep, n_members):
+        members0, members1 = real(cfg, scen, prep, n_members)
+        return members0, [Gaussian(members1[0].mean, 10.0 * np.eye(cfg.dimension))] + members1[1:]
+
+    monkeypatch.setattr(cli, "class_members", wide_member)
+    code, out, err = run_cli(["verify", "--config", mini_cfg, "--quiet", "--scenario", "cov_row", "--members", "2"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert [row for row in rows if row[5] != "pass"] == [["cov_row", "1", "0", "inf", rows[0][4], "FAIL"]]
 
 
 def test_arl_and_edd_and_calibrate_smoke(mini_cfg):
@@ -194,11 +222,30 @@ def test_experiment_scenario_filter_matches_full_run(mini_cfg):
     assert one == "".join([lines[0]] + [line for line in lines[1:] if line.startswith("cov_row,")])
 
 
-@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "1"), ("--members", "0"), ("--members", "x")])
+@pytest.mark.parametrize("flag, value", [("--members", "0"), ("--members", "x")])
 def test_verify_rejects_degenerate_counts(mini_cfg, flag, value):
     code, out, err = run_cli(["verify", "--config", mini_cfg, "--quiet", flag, value])
     assert code == 1 and out == ""
     assert "usage" in err and f"argument {flag}" in err
+
+
+def test_verify_samples_flag_is_gone(mini_cfg):
+    # the audit is exact, so there are no Monte Carlo draws to count
+    code, out, err = run_cli(["verify", "--config", mini_cfg, "--quiet", "--samples", "10"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --samples 10" in err
+
+
+@pytest.mark.parametrize(
+    "command, mode", [("calibrate", "calibrated"), ("arl", "calibrated"), ("experiment", "calibrated"), ("arl", "theoretical")]
+)
+def test_zero_step_arl_horizon_names_the_config_key(tmp_path, command, mode):
+    # round(0.001 * 2) = 0: a horizon no ARL run can take a step in
+    path = tmp_path / "short.cfg"
+    path.write_text(json.dumps({**MINI_CONFIG, "gamma": 2, "arl_horizon_factor": 0.001, "threshold_mode": mode}))
+    code, out, err = run_cli([command, "--config", str(path), "--quiet"])
+    assert code == 1 and out == ""
+    assert "document.arl_horizon_factor" in err
 
 
 def test_edd_all_censored_reports_nan_moments(tmp_path):
@@ -345,8 +392,8 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
             "a64e175508c30a1f37bce9033e11d92a323c96b9f214d4d0ab0229a2f164f0aa",
         ),
         (
-            ["verify", "--config", EVERY_BRANCH_CONFIG, "--samples", "2000"],
-            "32033cc4376206d8ef4cd147a97f3675ec1c786cb663728586d12966bdfcef88",
+            ["verify", "--config", EVERY_BRANCH_CONFIG],
+            "3201e8ae661159536832cb85cfccd7ef2cef9ee01b5a857dceae1c30c7a7d507",
         ),
         # the only byte pin of the saddle solver above d=3: at d=10 the
         # cov_interval envelope theta_star is asymmetric in its last bits

@@ -152,6 +152,20 @@ def test_all_violations_reported_not_just_first():
     assert len(exc.value.violations) >= 3
 
 
+def test_arl_horizon_that_rounds_to_zero_is_rejected():
+    # round(0.001 * 2) = 0 steps: every ARL run would stop before its first
+    # observation, so the config key is named instead of a bracket failure
+    doc = _valid_doc()
+    doc["gamma"] = 2.0
+    doc["arl_horizon_factor"] = 0.001
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].startswith("document.arl_horizon_factor: ")
+    doc["arl_horizon_factor"] = 0.5  # round(1.0) = 1 step is the shortest horizon
+    assert parse_config(json.dumps(doc)).arl_horizon == 1
+
+
 def test_round_trip_reparses_equal():
     cfg = parse_config(json.dumps(_valid_doc()))
     again = parse_config(serialize_config(cfg))

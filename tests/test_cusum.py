@@ -302,3 +302,9 @@ def test_calibration_requires_enough_trials():
     det = ConstantDetector(1.0)
     with pytest.raises(DomainError, match="100"):
         calibrate_threshold_mc(det, Gaussian(np.zeros(1), np.eye(1)), 100.0, calibration_streams(0, 50))
+
+
+def test_calibration_rejects_empty_horizon():
+    det = ConstantDetector(1.0)
+    with pytest.raises(DomainError, match="horizon must be >= 1, got 0"):
+        calibrate_threshold_mc(det, Gaussian(np.zeros(1), np.eye(1)), 100.0, calibration_streams(0, 100), horizon=0)

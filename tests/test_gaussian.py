@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from robustcusum import (
+    AffineDetector,
     DimensionError,
     Gaussian,
     NotPositiveDefiniteError,
+    QuadraticDetector,
     SeededStream,
     kl_divergence,
     llr_detector,
     mahalanobis_sq,
-    sample,
 )
+from robustcusum.gaussian import exp_quadratic_moment, sample_with
 
 
 def test_construction_caches_factor_and_reconstructs():
@@ -79,29 +83,47 @@ def test_mahalanobis_equals_euclidean_for_identity():
 def test_sample_deterministic_per_stream():
     g = Gaussian(np.zeros(3), np.eye(3))
     s = SeededStream(42, 5)
-    assert np.array_equal(sample(g, s, 8), sample(g, s, 8))
-    assert not np.allclose(sample(g, s, 8), sample(g, SeededStream(42, 6), 8))
+    assert np.array_equal(sample_with(g, s.generator(), 8), sample_with(g, s.generator(), 8))
+    assert not np.allclose(sample_with(g, s.generator(), 8), sample_with(g, SeededStream(42, 6).generator(), 8))
 
 
 def test_sample_mean_within_clt_bound():
     n = 100_000
     g = Gaussian(np.zeros(3), np.eye(3))
-    x = sample(g, SeededStream(7, 0), n)
+    x = sample_with(g, SeededStream(7, 0).generator(), n)
     assert np.all(np.abs(x.mean(axis=0)) < 4.0 / math.sqrt(n))
 
 
 def test_sample_covariance_within_two_percent():
     cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.2], [0.0, -0.2, 0.5]])
     g = Gaussian(np.zeros(3), cov)
-    x = sample(g, SeededStream(11, 1), 1_000_000)
+    x = sample_with(g, SeededStream(11, 1).generator(), 1_000_000)
     emp = np.cov(x, rowvar=False)
     assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.02
 
 
-def test_sample_requires_positive_count():
-    g = Gaussian(np.zeros(1), np.eye(1))
-    with pytest.raises(ValueError):
-        sample(g, SeededStream(0), 0)
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("big_a", [0.3, -0.5, 0.0])
+def test_exact_moment_matches_quadrature_d1(big_a, sign):
+    # E exp(sign * phi) with phi = A x^2/2 + a x + c and x ~ N(0.4, 1.2^2), by
+    # numerical integration against the density; A = 0 is the affine detector
+    mean, sd, a, c = 0.4, 1.2, 0.7, -0.2
+    def integrand(x):
+        return math.exp(sign * (0.5 * big_a * x * x + a * x + c) + norm.logpdf(x, mean, sd))
+
+    oracle, _ = quad(integrand, -np.inf, np.inf)
+    if big_a == 0.0:
+        det = AffineDetector(a=np.array([a]), c=c, epsilon_star=0.5)
+    else:
+        det = QuadraticDetector(H=np.array([[big_a]]), h=np.array([a]), kappa_const=c)
+    assert det.moment(Gaussian([mean], [[sd * sd]]), sign) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_exact_moment_diverges_without_positive_definite_m():
+    # 1 - A sigma^2 = 1 - 2 * 0.5 = 0: the integrand no longer decays
+    g = Gaussian([0.0], [[0.5]])
+    assert exp_quadratic_moment(g, np.array([[2.0]]), np.zeros(1), 0.0) == math.inf
+    assert exp_quadratic_moment(g, np.array([[-2.0]]), np.zeros(1), 0.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_log_likelihood_ratio_hand_cases():

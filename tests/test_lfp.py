@@ -90,8 +90,8 @@ def test_exponential_moment_balance():
     sigma = np.diag(np.linspace(0.5, 2.0, d))
     sol = solve_lfp(SingletonVector(np.zeros(d)), L1Ball(np.ones(d), 5.0), sigma)
     det = build_affine_detector(sol, sigma)
-    assert det.moment_minus(Gaussian(sol.mu0_star, sigma)) == pytest.approx(sol.epsilon_star, abs=1e-10)
-    assert det.moment_plus(Gaussian(sol.mu1_star, sigma)) == pytest.approx(sol.epsilon_star, abs=1e-10)
+    assert det.moment(Gaussian(sol.mu0_star, sigma), -1.0) == pytest.approx(sol.epsilon_star, abs=1e-10)
+    assert det.moment(Gaussian(sol.mu1_star, sigma), 1.0) == pytest.approx(sol.epsilon_star, abs=1e-10)
     assert det.phi((sol.mu0_star + sol.mu1_star) / 2.0) == pytest.approx(0.0, abs=1e-10)
 
 

@@ -21,10 +21,10 @@ from robustcusum import (
     eval_phi_big,
     llr_detector,
     load_bundled_config,
-    sample,
     solve_saddle,
 )
 from robustcusum.config import squared_exp_offdiagonal
+from robustcusum.gaussian import sample_with
 from robustcusum.quadratic import _phi_pieces, _SaddleProblem
 
 
@@ -113,7 +113,7 @@ def test_phi_big_matches_gaussian_log_moment_at_theta_star():
         a = rng.normal(size=(d, d))
         big_h = (a + a.T) / 2 * 0.15
         val = eval_phi_big(h, big_h, np.eye(d), setup)
-        x = sample(Gaussian(u, np.eye(d)), SeededStream(3, 1), 200_000)
+        x = sample_with(Gaussian(u, np.eye(d)), SeededStream(3, 1).generator(), 200_000)
         quad = 0.5 * np.einsum("ij,ij->i", x @ big_h, x) + x @ h
         mc = math.log(float(np.mean(np.exp(quad))))
         assert val == pytest.approx(mc, abs=4e-2)
@@ -422,24 +422,46 @@ def test_saddle_work_count_on_paper_interval(monkeypatch):
     assert counts["eigh"] <= 4_000, counts
 
 
-def test_detector_moment_bounds_by_monte_carlo():
+def _spectral_ball_audit():
+    """A solved d=3 spectral-ball detector, its bound exp(sv), and one
+    pre-change and ten post-change members, each with its Monte Carlo draws."""
     d = 3
     s0 = _singleton_setup(d)
     s1 = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
     sol = solve_saddle(s0, s1)
     det = build_quadratic_detector(sol, s0, s1)
-    bound = math.exp(sol.sv)
+    g0 = Gaussian(np.zeros(d), np.eye(d))
+    members = [(g0, sample_with(g0, SeededStream(1, 0).generator(), 50_000))]
     rng = np.random.default_rng(6)
+    for k in range(10):
+        g1 = Gaussian(np.zeros(d), s1.uset.sample_member(rng) + 1e-9 * np.eye(d))
+        members.append((g1, sample_with(g1, SeededStream(2, k).generator(), 20_000)))
+    return det, math.exp(sol.sv), members
+
+
+def test_detector_moment_bounds_by_monte_carlo():
+    det, bound, members = _spectral_ball_audit()
     # pre-change member
-    x = sample(Gaussian(np.zeros(d), np.eye(d)), SeededStream(1, 0), 50_000)
+    x = members[0][1]
     vals = np.exp(-np.array([det.phi(row) for row in x[:2000]]))
     assert vals.mean() <= bound + 3 * vals.std(ddof=1) / math.sqrt(len(vals))
-    for k in range(10):
-        theta = s1.uset.sample_member(rng) + 1e-9 * np.eye(d)
-        x = sample(Gaussian(np.zeros(d), theta), SeededStream(2, k), 20_000)
+    for _, x in members[1:]:
         vals = np.exp(det.increments(x) * -1.0)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert vals.mean() <= bound + 3 * se
+
+
+def test_exact_moment_matches_monte_carlo():
+    # the closed-form moment against the sample mean of exp(sign * phi) on
+    # the same draws; the pre-change member uses exp(-phi), the rest exp(+phi)
+    det, bound, members = _spectral_ball_audit()
+    for k, (g, x) in enumerate(members):
+        sign = -1.0 if k == 0 else 1.0
+        vals = np.exp(-sign * det.increments(x))
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        exact = det.moment(g, sign)
+        assert abs(exact - vals.mean()) <= 4 * se
+        assert exact <= bound + 1e-10
 
 
 def test_detector_two_evaluation_paths_agree():

@@ -116,10 +116,9 @@ def test_verify_bounds_affine_exact_at_least_favorable_pair():
     det = build_affine_detector(sol, np.eye(d))
     g0 = Gaussian(sol.mu0_star, np.eye(d))
     g1 = Gaussian(sol.mu1_star, np.eye(d))
-    report = verify_detector_bounds(det, [g0], [g1], samples=10, seed=0)
+    report = verify_detector_bounds(det, [g0], [g1])
     assert report.all_passed
     for entry in report.entries:
-        assert entry.method == "exact"
         assert entry.value == pytest.approx(sol.epsilon_star, abs=1e-10)
 
 
@@ -130,13 +129,13 @@ def test_verify_bounds_member_moved_against_detector_is_below():
     sol = solve_lfp(SingletonVector(np.zeros(d)), SingletonVector(0.5 * np.ones(d)), np.eye(d))
     det = build_affine_detector(sol, np.eye(d))
     shifted = Gaussian(sol.mu0_star + 0.5 * det.a, np.eye(d))
-    report = verify_detector_bounds(det, [shifted], [], samples=10, seed=0)
+    report = verify_detector_bounds(det, [shifted], [])
     assert report.entries[0].value < sol.epsilon_star
 
 
 def test_verify_bounds_requires_certificate():
     with pytest.raises(DomainError, match="certified"):
-        verify_detector_bounds(ConstantDetector(1.0), [NU], [NU], samples=10, seed=0)
+        verify_detector_bounds(ConstantDetector(1.0), [NU], [NU])
 
 
 def test_run_experiment_mini_schema_and_determinism():
