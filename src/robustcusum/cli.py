@@ -146,13 +146,24 @@ def _select_scenarios(cfg, args, kinds=None):
     return scens
 
 
+def _check_out(out):
+    """Reject an --out path that cannot be written, before any compute runs."""
+    if out is not None and os.path.isdir(out):
+        raise ConfigError([f"--out: cannot write '{out}' (is a directory)"])
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError([f"--out: cannot write '{out}' (no such directory)"])
+
+
 def _emit(text: str, out):
     if out is None:
         sys.stdout.write(text)
         sys.stdout.flush()
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError([f"--out: cannot write '{out}' ({exc.strerror})"]) from None
 
 
 def _vec(v) -> str:
@@ -269,6 +280,7 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         cfg = _load(args)
         progress = _Progress(args.quiet)
         text = _COMMANDS[args.command](cfg, args, progress)

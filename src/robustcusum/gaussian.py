@@ -3,8 +3,8 @@
 Everything downstream (detectors, CUSUM runs, Monte Carlo) works with
 ``Gaussian`` values: a mean vector plus a positive-definite covariance with
 its lower Cholesky factor cached at construction.  Quadratic forms are always
-evaluated through triangular solves against that factor; no covariance
-inverse is ever formed explicitly.
+evaluated through linear solves against that factor; no covariance inverse is
+ever formed explicitly.
 
 Randomness goes through ``SeededStream``: a (seed, stream_id) pair mapped to
 a counter-based Philox generator.  Distinct keys give independent streams by
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionError, NotPositiveDefiniteError
 
@@ -79,12 +78,12 @@ class Gaussian:
         return 2.0 * float(np.sum(np.log(np.diag(self.factor))))
 
     def solve_covariance(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} @ rhs via the cached factor."""
-        return cho_solve((self.factor, True), rhs)
+        """Sigma^{-1} @ rhs via the cached factor: L'^{-1} (L^{-1} rhs)."""
+        return np.linalg.solve(self.factor.T, np.linalg.solve(self.factor, rhs))
 
     def whiten(self, rhs: np.ndarray) -> np.ndarray:
-        """L^{-1} @ rhs (forward triangular solve)."""
-        return solve_triangular(self.factor, rhs, lower=True)
+        """L^{-1} @ rhs, solved against the cached factor."""
+        return np.linalg.solve(self.factor, rhs)
 
     def __repr__(self):
         return f"Gaussian(d={self.dim})"
@@ -109,7 +108,7 @@ class SeededStream:
 
 
 def mahalanobis_sq(x, y, g: Gaussian) -> float:
-    """(x - y)^T Sigma^{-1} (x - y), computed via a triangular solve."""
+    """(x - y)^T Sigma^{-1} (x - y), computed via a solve against the factor."""
     xv = _as_vector(x, g.dim, "x")
     yv = _as_vector(y, g.dim, "y")
     z = g.whiten(xv - yv)
@@ -137,7 +136,7 @@ def exp_quadratic_moment(g: Gaussian, big_a: np.ndarray, a: np.ndarray, c: float
         root = np.linalg.cholesky(np.eye(g.dim) - low.T @ big_a @ low)
     except np.linalg.LinAlgError:
         return math.inf
-    z = solve_triangular(root, low.T @ (am + a), lower=True)
+    z = np.linalg.solve(root, low.T @ (am + a))
     half_log_det = float(np.sum(np.log(np.diag(root))))
     log_moment = 0.5 * float(g.mean @ am) + float(a @ g.mean) + c + 0.5 * float(z @ z) - half_log_det
     with np.errstate(over="ignore"):

@@ -82,11 +82,8 @@ class SingletonMean:
     def dim(self):
         return self.u.shape[0]
 
-    def lifted(self) -> np.ndarray:
-        return np.concatenate([self.u, [1.0]])
-
     def support_with_argmax(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        z = self.lifted()
+        z = np.concatenate([self.u, [1.0]])  # the lifted point [u; 1]
         return float(z @ y @ z), np.outer(z, z)
 
 

@@ -70,7 +70,9 @@ class SingletonVector(VectorSet):
 
 
 @dataclass(frozen=True)
-class L2Ball(VectorSet):
+class _Ball(VectorSet):
+    """Center and radius shared by the norm balls."""
+
     center: np.ndarray
     radius: float
 
@@ -83,6 +85,8 @@ class L2Ball(VectorSet):
     def dim(self):
         return self.center.shape[0]
 
+
+class L2Ball(_Ball):
     def project(self, x):
         y = _as_vector(x, self.dim, "x") - self.center
         n = float(np.linalg.norm(y))
@@ -100,20 +104,7 @@ class L2Ball(VectorSet):
         return self.center + r * dir_
 
 
-@dataclass(frozen=True)
-class L1Ball(VectorSet):
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _frozen_array(np.asarray(self.center, float).reshape(-1)))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
-
+class L1Ball(_Ball):
     def project(self, x):
         y = _as_vector(x, self.dim, "x") - self.center
         if float(np.sum(np.abs(y))) <= self.radius:

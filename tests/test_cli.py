@@ -3,6 +3,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,51 @@ def test_missing_config_is_validation_error(path):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_fails_before_any_scenario_is_prepared(tmp_path, monkeypatch, where):
+    from robustcusum import cli, simulate
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario was prepared before --out was checked")
+
+    monkeypatch.setattr(cli, "prepare_scenario", never)
+    monkeypatch.setattr(simulate, "prepare_scenario", never)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, stdout, err = run_cli(["experiment", "--config", "table1_desk.cfg", "--quiet", "--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert "Traceback" not in err
+    reason = "no such directory" if where == "missing-directory" else "is a directory"
+    assert f"--out: cannot write '{out}' ({reason})" in err
+
+
+def test_write_failure_of_out_is_a_config_error(tmp_path):
+    # a write that fails after the up-front check (a race, a full disk) still
+    # ends in the one-line error, not a traceback
+    from robustcusum import cli
+    from robustcusum.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="--out: cannot write"):
+        cli._emit("x\n", str(tmp_path))
+
+
+def test_package_starts_without_scipy():
+    # scipy is a test-only dependency: importing the CLI and parsing the
+    # paper config must not load it
+    import robustcusum
+
+    script = (
+        "import sys, robustcusum, robustcusum.cli\n"
+        "from robustcusum.config import bundled_config_path\n"
+        "robustcusum.parse_config(bundled_config_path('table1_paper.cfg').read_text(encoding='utf-8'))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(robustcusum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_invalid_config_lists_violations(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from robustcusum import (
@@ -124,6 +125,31 @@ def test_exact_moment_diverges_without_positive_definite_m():
     g = Gaussian([0.0], [[0.5]])
     assert exp_quadratic_moment(g, np.array([[2.0]]), np.zeros(1), 0.0) == math.inf
     assert exp_quadratic_moment(g, np.array([[-2.0]]), np.zeros(1), 0.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e8, 1e12])
+def test_factor_solves_match_scipy_triangular_oracles(cond):
+    # numpy's general solves against the Cholesky factor agree with scipy's
+    # triangular and Cholesky solves at d=30 up to condition number 1e12
+    d = 30
+    rng = np.random.default_rng(30)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    g = Gaussian(rng.standard_normal(d), (q * np.logspace(0.0, -math.log10(cond), d)) @ q.T)
+
+    def rel(x, ref):
+        return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+    rhs = rng.standard_normal((d, 4))
+    for r in (rhs, rhs[:, 0]):
+        assert rel(g.whiten(r), solve_triangular(g.factor, r, lower=True)) < 1e-12
+        assert rel(g.solve_covariance(r), cho_solve((g.factor, True), r)) < 1e-12
+    # the exact moment's formula, with its solve done by scipy
+    s = rng.standard_normal((d, d))
+    big_a, a, c, low, m = -(s @ s.T) / d, 0.1 * rng.standard_normal(d), 0.2, g.factor, g.mean
+    root = np.linalg.cholesky(np.eye(d) - low.T @ big_a @ low)
+    z = solve_triangular(root, low.T @ (big_a @ m + a), lower=True)
+    log_ref = 0.5 * m @ big_a @ m + a @ m + c + 0.5 * z @ z - np.sum(np.log(np.diag(root)))
+    assert exp_quadratic_moment(g, big_a, a, c) == pytest.approx(math.exp(log_ref), rel=1e-12)
 
 
 def test_log_likelihood_ratio_hand_cases():
