@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    FlagError,
     NotPositiveDefiniteError,
     RobustCusumError,
     StreamExhaustedError,

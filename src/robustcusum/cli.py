@@ -7,7 +7,8 @@ Subcommands wrap the library operations: solve detectors (`lfp`,
 Conventions: results go to stdout (or --out), diagnostics and progress to
 stderr only.  Exit codes: 0 success, 1 validation/usage error, 2 solver or
 calibration non-convergence.  Identical argv + config + seed produce
-byte-identical output artifacts regardless of --threads.
+byte-identical output artifacts.  Monte Carlo trials run on the calling
+thread; --threads is still parsed and range-checked but changes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import SEED_LIMIT, load_bundled_config, load_config
 from .cusum import certified_threshold
-from .errors import CalibrationError, ConfigError, ConvergenceError, RobustCusumError
+from .errors import CalibrationError, ConfigError, ConvergenceError, FlagError, RobustCusumError
 from .simulate import (
     calibrated_threshold,
     class_members,
@@ -77,7 +78,8 @@ def _add_common(sub):
         "--threads",
         type=_bounded_int(1),
         default=os.environ.get("ROBUSTCUSUM_THREADS", str(os.cpu_count() or 1)),
-        help="worker threads for Monte Carlo ARL and delay trials, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism)",
+        help="accepted for compatibility, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism); "
+        "Monte Carlo trials run on the calling thread and the value changes nothing",
     )
     sub.add_argument("--quiet", action="store_true", help="suppress progress messages on stderr")
     sub.add_argument("--scenario", default=None, help="restrict to one scenario by name")
@@ -138,7 +140,7 @@ def _select_scenarios(cfg, args, kinds=None):
     if args.scenario is not None:
         scens = [s for s in scens if s.name == args.scenario]
         if not scens:
-            raise ConfigError([f"--scenario: no scenario named '{args.scenario}'"])
+            raise FlagError(f"--scenario: no scenario named '{args.scenario}'")
     if kinds is not None:
         scens = [s for s in scens if s.kind in kinds]
         if not scens:
@@ -149,9 +151,9 @@ def _select_scenarios(cfg, args, kinds=None):
 def _check_out(out):
     """Reject an --out path that cannot be written, before any compute runs."""
     if out is not None and os.path.isdir(out):
-        raise ConfigError([f"--out: cannot write '{out}' (is a directory)"])
+        raise FlagError(f"--out: cannot write '{out}' (is a directory)")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
-        raise ConfigError([f"--out: cannot write '{out}' (no such directory)"])
+        raise FlagError(f"--out: cannot write '{out}' (no such directory)")
 
 
 def _emit(text: str, out):
@@ -163,7 +165,7 @@ def _emit(text: str, out):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError([f"--out: cannot write '{out}' ({exc.strerror})"]) from None
+        raise FlagError(f"--out: cannot write '{out}' ({exc.strerror})") from None
 
 
 def _vec(v) -> str:
@@ -221,8 +223,7 @@ def _cmd_arl(cfg, args, progress):
             b = pick_threshold(cfg, prep, det, procedure, progress=progress)
             progress(f"{scen.name}/{procedure}: ARL at b={b:.5g}")
             mean, se, censored = estimate_arl(
-                det, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
-                scenario_index=scen.index, threads=args.threads,
+                det, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed, scenario_index=scen.index
             )
             rows.append([scen.name, procedure] + [format_cell(x) for x in (b, mean, se, censored)])
     return render_table(["scenario", "procedure", "b", "arl_mean", "arl_se", "censored_fraction"], rows, args.format)
@@ -236,7 +237,7 @@ def _cmd_edd(cfg, args, progress):
             b = pick_threshold(cfg, prep, det, procedure, progress=progress)
             progress(f"{scen.name}/{procedure}: delays at b={b:.5g}")
             mean, sd, censored = estimate_wdd(
-                det, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index, threads=args.threads
+                det, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index
             )
             rows.append([scen.name, procedure] + [format_cell(x) for x in (b, mean, sd, censored)])
     return render_table(["scenario", "procedure", "b", "wdd_mean", "wdd_sd", "censored"], rows, args.format)
@@ -259,7 +260,7 @@ def _cmd_verify(cfg, args, progress):
 
 def _cmd_experiment(cfg, args, progress):
     reports = [
-        r for scen in _select_scenarios(cfg, args) for r in run_scenario(cfg, scen, threads=args.threads, progress=progress)
+        r for scen in _select_scenarios(cfg, args) for r in run_scenario(cfg, scen, progress=progress)
     ]
     return to_csv(reports) if args.format == "csv" else render_human(reports)
 

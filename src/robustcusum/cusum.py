@@ -225,40 +225,26 @@ def certified_threshold(gamma: float, detector) -> float:
     return math.log(gamma)
 
 
-def alarm_times(detector, draw, streams, b: float, horizon: int, *, threads: int = 1) -> np.ndarray:
+def alarm_times(detector, draw, streams, b: float, horizon: int) -> np.ndarray:
     """Alarm time per trial stream (horizon + 1 marks a censored run).
 
     Trial i runs on `streams[i].generator()`.  `draw(rng) -> Gaussian` may
     consume that generator before the observations do, so a trial's
-    parameter draw and its sample path share one substream.  Trials are
-    independent and results land in a preallocated array by trial index, so
-    the output is identical for any thread count.
+    parameter draw and its sample path share one substream.  Trials run in
+    order on the calling thread.
     """
     streams = list(streams)
-    n = len(streams)
-    out = np.empty(n, dtype=np.int64)
-
-    def run_range(lo, hi):
-        for i in range(lo, hi):
-            rng = streams[i].generator()
-            res = run_until_alarm(detector, GaussianSource(draw(rng), rng), b, horizon)
-            out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
-
-    if threads <= 1 or n < 2:
-        run_range(0, n)
-    else:
-        from concurrent import futures
-
-        workers = min(threads, n)
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: run_range(ab[0], ab[1]), zip(bounds[:-1], bounds[1:])))
+    out = np.empty(len(streams), dtype=np.int64)
+    for i, stream in enumerate(streams):
+        rng = stream.generator()
+        res = run_until_alarm(detector, GaussianSource(draw(rng), rng), b, horizon)
+        out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
     return out
 
 
-def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int, *, threads: int = 1) -> np.ndarray:
+def alarm_times_gaussian(detector, gaussian: Gaussian, streams, b: float, horizon: int) -> np.ndarray:
     """`alarm_times` with every trial observing the one law `gaussian`."""
-    return alarm_times(detector, lambda rng: gaussian, streams, b, horizon, threads=threads)
+    return alarm_times(detector, lambda rng: gaussian, streams, b, horizon)
 
 
 def calibrate_threshold_mc(

@@ -48,6 +48,11 @@ class StreamExhaustedError(RobustCusumError, RuntimeError):
     """A finite observation source ran out before the requested horizon."""
 
 
+class FlagError(RobustCusumError, ValueError):
+    """A command-line flag's value cannot be used (an unwritable --out, an
+    unknown --scenario)."""
+
+
 class ConfigError(RobustCusumError, ValueError):
     """Configuration document is invalid; lists every violation found."""
 

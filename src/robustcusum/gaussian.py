@@ -8,7 +8,7 @@ ever formed explicitly.
 
 Randomness goes through ``SeededStream``: a (seed, stream_id) pair mapped to
 a counter-based Philox generator.  Distinct keys give independent streams by
-construction, so Monte Carlo trials parallelize without shared state.
+construction, so a Monte Carlo trial's draws depend only on its own key.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ class Gaussian:
 
     def __setattr__(self, name, value):
         raise AttributeError("Gaussian is immutable")
+
+    def with_mean(self, mean) -> Gaussian:
+        """N(mean, covariance) sharing this law's covariance and factor."""
+        mean = np.array(mean, dtype=float).reshape(-1)
+        if mean.shape[0] != self.dim:
+            raise DimensionError("mean", self.dim, mean.shape[0])
+        mean.setflags(write=False)
+        out = object.__new__(Gaussian)
+        object.__setattr__(out, "mean", mean)
+        object.__setattr__(out, "covariance", self.covariance)
+        object.__setattr__(out, "factor", self.factor)
+        return out
 
     @property
     def dim(self) -> int:

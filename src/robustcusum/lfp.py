@@ -125,7 +125,7 @@ class AffineDetector:
 
     a: np.ndarray
     c: float
-    epsilon_star: float
+    epsilon_star: float | None
 
     def phi(self, xi) -> float:
         return float(self.a @ np.asarray(xi, dtype=float)) + self.c

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .gaussian import Gaussian, exp_quadratic_moment, symmetrize
+from .lfp import AffineDetector
 from .sets import MatrixInterval, MatrixSet, SingletonPSD, SpectralBall
 
 _DOMAIN_MARGIN = 1e-9
@@ -622,9 +623,13 @@ def build_quadratic_detector(sol: SaddleSolution, setup0: ClassSetup, setup1: Cl
     )
 
 
-def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) -> QuadraticDetector:
+def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) -> QuadraticDetector | AffineDetector:
     """Classic CUSUM detector for a fully specified pair: -phi(xi) is the
-    log-likelihood ratio log p1(xi) - log p0(xi)."""
+    log-likelihood ratio log p1(xi) - log p0(xi).
+
+    Equal covariances make H exactly zero; the detector is then affine.  Its
+    increments are bit-equal to the quadratic form's, whose quadratic term
+    is a signed zero (-(+-0 + y + k) rounds as -y - k does)."""
     if g0.dim != g1.dim:
         raise DomainError(f"pair dimensions differ: {g0.dim} vs {g1.dim}")
     eye = np.eye(g0.dim)
@@ -637,4 +642,6 @@ def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) 
     big_h = _sym(inv1 - inv0)
     h = inv0 @ g0.mean - inv1 @ g1.mean
     const = -0.5 * (quad0 - quad1) - 0.5 * (g0.log_det_covariance() - g1.log_det_covariance())
+    if not big_h.any():
+        return AffineDetector(a=h, c=const, epsilon_star=epsilon_star)
     return QuadraticDetector(H=big_h, h=h, kappa_const=const, epsilon_star=epsilon_star)

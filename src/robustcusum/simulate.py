@@ -10,9 +10,8 @@ post-change observations from time 1.
 Stream discipline: every Monte Carlo trial owns one substream, with the id
 composed as (scenario_index << 48) | (lane << 40) | trial.  Lanes separate
 ARL runs, delay runs, calibration, the class members a bound audit checks and
-design-time draws, so no two uses ever share a stream and results are
-independent of thread count.  The audit itself draws nothing: each member's
-moment is exact.
+design-time draws, so no two uses ever share a stream.  The audit itself
+draws nothing: each member's moment is exact.
 This module is the only one that composes stream ids.
 """
 
@@ -113,7 +112,7 @@ def render_human(reports) -> str:
     return render_table(list(CSV_COLUMNS) + ["efficiency_factor"], rows, "human")
 
 
-def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, seed: int, *, scenario_index: int = 0, threads: int = 1):
+def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, seed: int, *, scenario_index: int = 0):
     """(mean, standard error, censored fraction) of the run length under nu0.
 
     Censored runs count at the horizon, which biases the mean downward; the
@@ -122,7 +121,7 @@ def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, s
     if trials < MIN_TRIALS:
         raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
     streams = [SeededStream(seed, stream_id(scenario_index, LANE_ARL, t)) for t in range(trials)]
-    times = alarm_times_gaussian(detector, nu0, streams, b, horizon, threads=threads)
+    times = alarm_times_gaussian(detector, nu0, streams, b, horizon)
     capped = np.minimum(times, horizon).astype(float)
     mean = float(np.mean(capped))
     se = float(np.std(capped, ddof=1) / math.sqrt(trials))
@@ -130,11 +129,11 @@ def estimate_arl(detector, b: float, nu0: Gaussian, trials: int, horizon: int, s
     return mean, se, censored
 
 
-def _delay_times(detector, b: float, horizon: int, trials: int, seed: int, scenario_index: int, draw, threads: int = 1) -> np.ndarray:
+def _delay_times(detector, b: float, horizon: int, trials: int, seed: int, scenario_index: int, draw) -> np.ndarray:
     """Alarm times from the reset state, one delay-lane stream per trial;
     `draw(rng) -> Gaussian` gives each trial its post-change law."""
     streams = [SeededStream(seed, stream_id(scenario_index, LANE_WDD, i)) for i in range(trials)]
-    return alarm_times(detector, draw, streams, b, horizon, threads=threads)
+    return alarm_times(detector, draw, streams, b, horizon)
 
 
 def delay_summary(times: np.ndarray, horizon: int):
@@ -149,7 +148,7 @@ def delay_summary(times: np.ndarray, horizon: int):
     return float(np.mean(kept)), sd, censored
 
 
-def estimate_wdd(detector, b: float, draw, trials: int, horizon: int, seed: int, *, scenario_index: int = 0, threads: int = 1):
+def estimate_wdd(detector, b: float, draw, trials: int, horizon: int, seed: int, *, scenario_index: int = 0):
     """(mean, standard deviation, censored count) of the worst-case detection
     delay; `draw(rng) -> Gaussian` gives each trial its post-change law.
 
@@ -159,7 +158,7 @@ def estimate_wdd(detector, b: float, draw, trials: int, horizon: int, seed: int,
     """
     if trials < MIN_TRIALS:
         raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    times = _delay_times(detector, b, horizon, trials, seed, scenario_index, draw, threads)
+    times = _delay_times(detector, b, horizon, trials, seed, scenario_index, draw)
     return delay_summary(times, horizon)
 
 
@@ -280,7 +279,9 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
     baseline = llr_detector(Gaussian(*scen.baseline_pre), base_post)
 
     def post_draw(rng):
-        return Gaussian(*scen.post_law(rng))
+        mean, cov = scen.post_law(rng)
+        # a mean shift keeps the pre-change covariance: reuse nu0_true's factor
+        return nu0_true.with_mean(mean) if scen.kind == "mean_shift" else Gaussian(mean, cov)
 
     eps = sol.epsilon_star
     efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
@@ -289,8 +290,7 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
 
 def calibrated_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, procedure: str, *, progress=None) -> float:
     """Monte Carlo threshold under the true pre-change law; each procedure
-    calibrates on its own block of the scenario's calibration lane, on the
-    calling thread."""
+    calibrates on its own block of the scenario's calibration lane."""
     if progress:
         progress(f"{prep.config.name}/{procedure}: calibrating threshold")
     lane_offset = 0 if procedure == "robust" else 1 << 30
@@ -309,7 +309,7 @@ def pick_threshold(cfg: ExperimentConfig, prep: PreparedScenario, detector, proc
     return calibrated_threshold(cfg, prep, detector, procedure, progress=progress)
 
 
-def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 1, progress=None) -> list[RunReport]:
+def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=None) -> list[RunReport]:
     """Prepare one scenario and evaluate both procedures; one report each."""
     prep = prepare_scenario(cfg, scen, progress=progress)
     reports = []
@@ -320,14 +320,12 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
         # both procedures reuse the same per-trial streams: each trial draws
         # one true parameter and one path, evaluated by both detectors
         arl_mean, arl_se, censored = estimate_arl(
-            detector, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed,
-            scenario_index=scen.index,
-            threads=threads,
+            detector, b, prep.nu0_true, cfg.arl_trials, cfg.arl_horizon, cfg.seed, scenario_index=scen.index
         )
         if progress:
             progress(f"{scen.name}/{procedure}: delays")
         wdd_mean, wdd_sd, _ = estimate_wdd(
-            detector, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index, threads=threads
+            detector, b, prep.post_draw, scen.delay_trials, cfg.delay_horizon, cfg.seed, scenario_index=scen.index
         )
         reports.append(
             RunReport(
@@ -350,7 +348,7 @@ def run_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, threads: int = 
     return reports
 
 
-def run_experiment(cfg: ExperimentConfig, *, threads: int = 1, progress=None) -> list[RunReport]:
+def run_experiment(cfg: ExperimentConfig, *, progress=None) -> list[RunReport]:
     """Run every configured scenario with both procedures; one report per
     (scenario, procedure) pair, in configuration order."""
-    return [r for scen in cfg.scenarios for r in run_scenario(cfg, scen, threads=threads, progress=progress)]
+    return [r for scen in cfg.scenarios for r in run_scenario(cfg, scen, progress=progress)]

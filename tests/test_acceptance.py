@@ -184,7 +184,7 @@ def test_criterion_09_quadratic_detector_bound_audit():
 def desk_table():
     t0 = time.perf_counter()
     cfg = load_bundled_config("table1_desk.cfg")
-    reports = run_experiment(cfg, threads=1)
+    reports = run_experiment(cfg)
     return reports, time.perf_counter() - t0
 
 

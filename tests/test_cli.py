@@ -112,14 +112,43 @@ def test_unwritable_out_fails_before_any_scenario_is_prepared(tmp_path, monkeypa
     assert f"--out: cannot write '{out}' ({reason})" in err
 
 
-def test_write_failure_of_out_is_a_config_error(tmp_path):
+def test_write_failure_of_out_is_a_flag_error(tmp_path):
     # a write that fails after the up-front check (a race, a full disk) still
     # ends in the one-line error, not a traceback
     from robustcusum import cli
-    from robustcusum.errors import ConfigError
+    from robustcusum.errors import FlagError
 
-    with pytest.raises(ConfigError, match="--out: cannot write"):
+    with pytest.raises(FlagError, match="--out: cannot write"):
         cli._emit("x\n", str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--out", "/nonexistent/x.csv"], "error: --out: cannot write '/nonexistent/x.csv' (no such directory)\n"),
+        (["--scenario", "nope"], "error: --scenario: no scenario named 'nope'\n"),
+    ],
+    ids=["out", "scenario"],
+)
+def test_flag_error_is_not_reported_as_a_config_problem(mini_cfg, flags, message):
+    code, out, err = run_cli(["experiment", "--config", mini_cfg, "--quiet"] + flags)
+    assert code == 1 and out == ""
+    assert err == message
+
+
+def test_trials_start_no_thread(mini_cfg, tmp_path, monkeypatch):
+    import threading
+
+    def refuse(self):
+        raise AssertionError("a Monte Carlo trial started a thread")
+
+    paths = [tmp_path / "t1.csv", tmp_path / "t4.csv"]
+    code, _, err = run_cli(["edd", "--config", mini_cfg, "--quiet", "--threads", "1", "--out", str(paths[0])])
+    assert code == 0, err
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _, err = run_cli(["edd", "--config", mini_cfg, "--quiet", "--threads", "4", "--out", str(paths[1])])
+    assert code == 0, err
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_package_starts_without_scipy():

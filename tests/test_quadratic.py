@@ -6,10 +6,12 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import multivariate_normal
 
 from robustcusum import (
+    AffineDetector,
     ClassSetup,
     DomainError,
     Gaussian,
     MatrixInterval,
+    QuadraticDetector,
     SaddleOptions,
     SeededStream,
     SingletonMean,
@@ -504,6 +506,30 @@ def test_llr_detector_matches_log_density_ratio():
         g0.mean, g0.covariance
     ).logpdf(xs)
     assert np.allclose(det.increments(xs), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 3, 30])
+def test_equal_covariance_llr_is_affine_and_bit_equal(d):
+    rng = np.random.default_rng(100 + d)
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T + np.eye(d)
+    g0 = Gaussian(rng.normal(size=d), cov)
+    g1 = Gaussian(rng.normal(size=d), cov)
+    det = llr_detector(g0, g1)
+    assert isinstance(det, AffineDetector)
+    # the quadratic form the detector replaces, from the pair's inverses
+    eye = np.eye(d)
+    inv0, inv1 = g0.solve_covariance(eye), g1.solve_covariance(eye)
+    big_h = inv1 - inv0
+    h = inv0 @ g0.mean - inv1 @ g1.mean
+    assert not big_h.any() and np.array_equal(det.a, h)
+    xs = 3.0 * rng.normal(size=(400, d))
+    quadratic_form = -(0.5 * np.einsum("ij,ij->i", xs @ big_h, xs) + xs @ h + det.c)
+    assert np.array_equal(det.increments(xs), quadratic_form)
+    expected = multivariate_normal(g1.mean, cov).logpdf(xs) - multivariate_normal(g0.mean, cov).logpdf(xs)
+    assert np.allclose(det.increments(xs), expected, atol=1e-9)
+    # a pair with unequal covariances keeps the quadratic term
+    assert isinstance(llr_detector(g0, Gaussian(g1.mean, 2.0 * cov)), QuadraticDetector)
 
 
 class _CornerLift:

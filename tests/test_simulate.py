@@ -9,6 +9,7 @@ from robustcusum import (
     DomainError,
     Gaussian,
     L1Ball,
+    SeededStream,
     SingletonVector,
     build_affine_detector,
     estimate_arl,
@@ -20,7 +21,8 @@ from robustcusum import (
     to_csv,
     verify_detector_bounds,
 )
-from robustcusum.simulate import CSV_COLUMNS, _delay_times, delay_summary, render_human
+from robustcusum.gaussian import sample_with
+from robustcusum.simulate import CSV_COLUMNS, _delay_times, delay_summary, prepare_scenario, render_human
 
 
 class ConstantDetector:
@@ -222,9 +224,31 @@ def test_delay_times_thread_count_invariance():
     sol = solve_lfp(SingletonVector(np.zeros(d)), SingletonVector(0.5 * np.ones(d)), np.eye(d))
     det = build_affine_detector(sol, np.eye(d))
     nu1 = Gaussian(0.5 * np.ones(d), np.eye(d))
-    a = _delay_times(det, 4.0, 5_000, 120, seed=9, scenario_index=1, draw=lambda rng: nu1, threads=1)
-    b = _delay_times(det, 4.0, 5_000, 120, seed=9, scenario_index=1, draw=lambda rng: nu1, threads=8)
+    # two runs on the same streams agree trial for trial
+    a = _delay_times(det, 4.0, 5_000, 120, seed=9, scenario_index=1, draw=lambda rng: nu1)
+    b = _delay_times(det, 4.0, 5_000, 120, seed=9, scenario_index=1, draw=lambda rng: nu1)
     assert np.array_equal(a, b)
+
+
+def test_mean_shift_post_draw_shares_the_pre_change_factor(monkeypatch):
+    cfg = _mini_config()
+    scen = cfg.scenarios[0]
+    prep = prepare_scenario(cfg, scen)
+    real_cholesky = np.linalg.cholesky
+    factored = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or real_cholesky(a))
+    streams = [SeededStream(cfg.seed, i) for i in range(100)]
+    laws = [prep.post_draw(stream.generator()) for stream in streams]
+    assert not factored, f"{len(factored)} draws factored their covariance"
+    monkeypatch.undo()
+    for stream, law in zip(streams, laws):
+        rng, fresh_rng = stream.generator(), stream.generator()
+        assert np.array_equal(prep.post_draw(rng).mean, law.mean)
+        fresh = Gaussian(*scen.post_law(fresh_rng))
+        for attr in ("mean", "covariance", "factor"):
+            assert np.array_equal(getattr(law, attr), getattr(fresh, attr))
+        assert law.factor is prep.nu0_true.factor
+        assert np.array_equal(sample_with(law, rng, 40), sample_with(fresh, fresh_rng, 40))
 
 
 def test_threshold_from_gamma_feeds_simulation():
