@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SEED_LIMIT, load_bundled_config, load_config
 from .cusum import certified_threshold
-from .errors import CalibrationError, ConfigError, ConvergenceError, FlagError, RobustCusumError
+from .errors import CalibrationError, ConvergenceError, FlagError, RobustCusumError
 from .simulate import (
     calibrated_threshold,
     class_members,
@@ -125,26 +125,33 @@ def _load(args):
     try:
         cfg = load_config(path) if os.path.exists(path) else load_bundled_config(path)
     except (FileNotFoundError, ModuleNotFoundError):
-        raise ConfigError([f"config: no such file or bundled config '{path}'"]) from None
+        raise FlagError(f"--config: no such file or bundled config '{path}'") from None
     except OSError as exc:
-        raise ConfigError([f"config: cannot read '{path}' ({exc.strerror})"]) from None
+        raise FlagError(f"--config: cannot read '{path}' ({exc.strerror})") from None
     except UnicodeDecodeError:
-        raise ConfigError([f"config: cannot read '{path}' (not UTF-8 text)"]) from None
+        raise FlagError(f"--config: cannot read '{path}' (not UTF-8 text)") from None
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg
 
 
-def _select_scenarios(cfg, args, kinds=None):
+def _select_scenarios(cfg, args, kind=None):
+    """The scenarios --scenario names, of `kind` when the subcommand solves
+    only one kind."""
     scens = cfg.scenarios
     if args.scenario is not None:
         scens = [s for s in scens if s.name == args.scenario]
         if not scens:
             raise FlagError(f"--scenario: no scenario named '{args.scenario}'")
-    if kinds is not None:
-        scens = [s for s in scens if s.kind in kinds]
+        if kind is not None and scens[0].kind != kind:
+            raise FlagError(
+                f"--scenario: '{args.scenario}' is a {scens[0].kind} scenario; "
+                f"{args.command} solves only {kind} scenarios"
+            )
+    if kind is not None:
+        scens = [s for s in scens if s.kind == kind]
         if not scens:
-            raise ConfigError([f"config: no scenario of kind {kinds} selected"])
+            raise FlagError(f"{args.command}: config '{args.config}' has no {kind} scenario")
     return scens
 
 
@@ -174,7 +181,7 @@ def _vec(v) -> str:
 
 def _cmd_lfp(cfg, args, progress):
     rows = []
-    for scen in _select_scenarios(cfg, args, kinds=("mean_shift",)):
+    for scen in _select_scenarios(cfg, args, kind="mean_shift"):
         prep = prepare_scenario(cfg, scen, progress=progress)
         sol = prep.solution
         rows.append(
@@ -187,7 +194,7 @@ def _cmd_lfp(cfg, args, progress):
 
 def _cmd_detector(cfg, args, progress):
     rows = []
-    for scen in _select_scenarios(cfg, args, kinds=("covariance_shift",)):
+    for scen in _select_scenarios(cfg, args, kind="covariance_shift"):
         prep = prepare_scenario(cfg, scen, progress=progress)
         sol = prep.solution
         if args.format == "csv":
@@ -289,9 +296,6 @@ def dispatch(argv) -> int:
         return 0
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, CalibrationError) as exc:

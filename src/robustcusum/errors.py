@@ -49,8 +49,9 @@ class StreamExhaustedError(RobustCusumError, RuntimeError):
 
 
 class FlagError(RobustCusumError, ValueError):
-    """A command-line flag's value cannot be used (an unwritable --out, an
-    unknown --scenario)."""
+    """A command-line flag's value cannot be used (an unreadable --config, an
+    unwritable --out, an unknown --scenario or one the subcommand does not
+    solve)."""
 
 
 class ConfigError(RobustCusumError, ValueError):

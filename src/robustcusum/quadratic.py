@@ -23,15 +23,23 @@ Structure of the saddle problem exploited here:
   G(H) + min_{H' feasible} <grad, H' - H> lower-bounds the saddle value.
 
 The outer loop is projected subgradient descent with Polyak steps driven by
-the best certified lower bound, with iterate and inner-maximizer averaging;
-certificates are refreshed periodically until the duality gap passes the
-requested tolerance.  Each certificate solves the fixed-Theta problem at the
-best and at the averaged Thetas (once when the two coincide) by projected
-gradient, which stops once its accepted steps only move the value's last
-digits: near the spectral-norm kink (delta > 0) it otherwise zig-zags for
-thousands of steps without improving the bound.  Every trial H of that inner
-loop is whitened and eigendecomposed once per class, and the exact h-solve and
-the objective share the result.
+the best certified lower bound, with iterate and inner-maximizer averaging.
+Certificates are taken at iteration 0, after iteration 1 and then every
+_CHECK_EVERY iterations, until the duality gap passes the requested
+tolerance.  Iteration 0's certificate rarely closes the gap: at H = 0 the
+linear Theta term vanishes, every member of each set ties, and the support
+function returns an arbitrary one (the spectral ball returns Theta = 0, where
+the optimum needs radius * I).  Its inner solution's maximizing Thetas are
+the informative ones; the certificate after iteration 1 solves at them and,
+on every shipped scenario, closes the gap.  Each certificate solves the
+fixed-Theta problem at the best Thetas, then at the averaged ones (skipped
+when the two coincide or the gap is already closed), by projected gradient,
+which stops once its accepted steps only move the value's last digits: near
+the spectral-norm kink (delta > 0) it otherwise zig-zags for thousands of
+steps without improving the bound.  Every trial H of that inner loop is
+whitened and eigendecomposed once per class, and the exact h-solve and the
+objective share the result; class 1's decomposition is the projection's own
+whenever its last clip left H unchanged.
 """
 
 from __future__ import annotations
@@ -51,10 +59,11 @@ _DOMINATION_TOL = 1e-9
 # sigma grid used to audit interval sets; endpoints included.
 _INTERVAL_DELTA_GRID = 17
 
-# saddle solver: outer iterations between certificates, steps per fixed-Theta
-# inner minimization, the inner stagnation exit (that many accepted steps in a
-# row, each lowering the value by at most _INNER_STALL_TOL * (1 + |value|)),
-# cyclic-projection sweeps and their stopping tolerance
+# saddle solver: outer iterations between certificates (one more is taken
+# after iteration 1), steps per fixed-Theta inner minimization, the inner
+# stagnation exit (that many accepted steps in a row, each lowering the value
+# by at most _INNER_STALL_TOL * (1 + |value|)), cyclic-projection sweeps and
+# their stopping tolerance
 _CHECK_EVERY = 250
 _INNER_MAX_ITERS = 4_000
 _INNER_STALL_STEPS = 20
@@ -302,27 +311,33 @@ def eval_phi_big(h, big_h, theta, setup: ClassSetup) -> float:
 
 
 def _clip_in_basis(big_h, setup: ClassSetup, beta: float):
-    _, lam, q = _whiten(setup, big_h)
+    """(H', violation, white): white is _whiten(setup, H) when H already lies
+    in the box and H' is H itself, else None."""
+    white = _whiten(setup, big_h)
+    _, lam, q = white
     viol = float(np.max(np.abs(lam))) - beta
     if viol <= 0.0:
-        return big_h, 0.0
+        return big_h, 0.0, white
     lam = np.clip(lam, -beta, beta)
     w = (q * lam) @ q.T
-    return _sym(setup.inv_sqrt @ w @ setup.inv_sqrt), viol
+    return _sym(setup.inv_sqrt @ w @ setup.inv_sqrt), viol, None
 
 
 def project_feasible(big_h, setups, beta):
     """Cyclic whitened eigenvalue clipping onto the intersection of the
-    per-class spectral boxes."""
+    per-class spectral boxes.
+
+    Returns (H, white): white is _whiten(setups[-1], H) when the last clip
+    left H unchanged, else None."""
     h_cur = _sym(big_h)
     for _ in range(_PROJECTION_ROUNDS):
         worst = 0.0
         for setup in setups:
-            h_cur, viol = _clip_in_basis(h_cur, setup, beta)
+            h_cur, viol, white = _clip_in_basis(h_cur, setup, beta)
             worst = max(worst, viol)
         if worst <= _PROJECTION_TOL:
             break
-    return h_cur
+    return h_cur, white
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +373,14 @@ class _SaddleProblem:
         self.h_strong = (setup0.theta_star_min_eig + setup1.theta_star_min_eig) / (2.0 * (1.0 + beta))
 
     def project(self, big_h):
+        """(H, white1): the feasible H and class 1's _whiten at it, or None."""
         return project_feasible(big_h, (self.s0, self.s1), self.beta)
 
-    def whiten(self, big_h):
-        """Each class's _whiten at H; class 0 sees -H."""
-        return _whiten(self.s0, -big_h), _whiten(self.s1, big_h)
+    def whiten(self, big_h, white1=None):
+        """Each class's _whiten at H; class 0 sees -H.  `white1` is class 1's
+        from project(); class 0 decomposes -W itself, because eigh(-W) need
+        not return the negated eigenpairs of eigh(W) bit for bit."""
+        return _whiten(self.s0, -big_h), (_whiten(self.s1, big_h) if white1 is None else white1)
 
     def value_grad(self, h, big_h, th0=None, th1=None, white=None):
         """Objective with a subgradient and the Thetas used: fixed ones when
@@ -437,8 +455,8 @@ class _SaddleProblem:
         digits, and the bound is as good as it will get.  Each candidate H is
         whitened once per class; exact_h and value_grad share that.
         """
-        big_h = self.project(big_h0)
-        white = self.whiten(big_h)
+        big_h, white1 = self.project(big_h0)
+        white = self.whiten(big_h, white1)
         h = self.exact_h(big_h, white)
         val, gh, gH, _, _ = self.value_grad(h, big_h, th0, th1, white)
         step = 1.0
@@ -447,11 +465,11 @@ class _SaddleProblem:
         for _ in range(_INNER_MAX_ITERS):
             accepted = False
             for _bt in range(30):
-                cand_h_mat = self.project(big_h - step * gH)
+                cand_h_mat, white1 = self.project(big_h - step * gH)
                 move = float(np.linalg.norm(cand_h_mat - big_h))
                 if move <= 1e-15 * scale:
                     break  # projected step is numerically a no-op
-                white = self.whiten(cand_h_mat)
+                white = self.whiten(cand_h_mat, white1)
                 cand_h = self.exact_h(cand_h_mat, white)
                 cand_val, cand_gh, cand_gH, _, _ = self.value_grad(cand_h, cand_h_mat, th0, th1, white)
                 if cand_val <= val - 1e-4 * move * move / step:
@@ -504,7 +522,9 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
     warm = [None, None]  # per-candidate inner warm starts for H
 
     def certify():
-        """Refresh the certified lower bound; may also improve the primal."""
+        """Refresh the certified lower bound; may also improve the primal.
+        Stops at the first candidate that closes the gap: the averaged
+        Thetas' bound is the weaker one once the best Thetas' has."""
         nonlocal q_best, gap
         candidates = [
             (best["th0"], best["th1"]),
@@ -519,7 +539,9 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
             warm[slot] = iH
             q_best = max(q_best, bound)
             consider(ih, iH)
-        gap = best["g"] - q_best
+            gap = best["g"] - q_best
+            if gap <= opts.gap_tol:
+                break
         return gap
 
     if certify() <= opts.gap_tol:
@@ -540,10 +562,9 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
             step = (val - q_best) / norm_sq  # Polyak step toward the certified level
         else:
             step = step_scale / math.sqrt(k) / math.sqrt(norm_sq)
-        cand_H = prob.project(big_h - step * gH)
-        cand_h = h - step * gh
-        h, big_h = cand_h, cand_H
-        val, gh, gH, th0, th1 = prob.value_grad(h, big_h)
+        big_h, white1 = prob.project(big_h - step * gH)
+        h = h - step * gh
+        val, gh, gH, th0, th1 = prob.value_grad(h, big_h, white=prob.whiten(big_h, white1))
         if val < best["g"]:
             best = {"h": h, "H": big_h, "g": val, "th0": th0, "th1": th1}
         sum_h += h
@@ -551,7 +572,7 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
         sum_th0 += th0
         sum_th1 += th1
         n_avg += 1
-        if k % _CHECK_EVERY == 0:
+        if k == 1 or k % _CHECK_EVERY == 0:
             consider(sum_h / n_avg, sum_H / n_avg)
             if certify() <= opts.gap_tol:
                 break

@@ -123,15 +123,30 @@ def test_write_failure_of_out_is_a_flag_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "argv, message",
     [
-        (["--out", "/nonexistent/x.csv"], "error: --out: cannot write '/nonexistent/x.csv' (no such directory)\n"),
-        (["--scenario", "nope"], "error: --scenario: no scenario named 'nope'\n"),
+        (["experiment", "--out", "/nonexistent/x.csv"], "error: --out: cannot write '/nonexistent/x.csv' (no such directory)\n"),
+        (["experiment", "--scenario", "nope"], "error: --scenario: no scenario named 'nope'\n"),
+        (
+            ["lfp", "--config", "table1_desk.cfg", "--scenario", "cov_spectral"],
+            "error: --scenario: 'cov_spectral' is a covariance_shift scenario; lfp solves only mean_shift scenarios\n",
+        ),
+        (
+            ["detector", "--config", "table1_desk.cfg", "--scenario", "l1_mean"],
+            "error: --scenario: 'l1_mean' is a mean_shift scenario; detector solves only covariance_shift scenarios\n",
+        ),
+        (
+            ["detector", "--config", "l1_mean.cfg"],
+            "error: detector: config 'l1_mean.cfg' has no covariance_shift scenario\n",
+        ),
+        (["lfp", "--config", "nope.cfg"], "error: --config: no such file or bundled config 'nope.cfg'\n"),
     ],
-    ids=["out", "scenario"],
+    ids=["out", "scenario", "lfp-scenario-kind", "detector-scenario-kind", "detector-no-scenario", "missing-config"],
 )
-def test_flag_error_is_not_reported_as_a_config_problem(mini_cfg, flags, message):
-    code, out, err = run_cli(["experiment", "--config", mini_cfg, "--quiet"] + flags)
+def test_flag_error_is_not_reported_as_a_config_problem(mini_cfg, argv, message):
+    if "--config" not in argv:
+        argv = argv + ["--config", mini_cfg]
+    code, out, err = run_cli(argv + ["--quiet"])
     assert code == 1 and out == ""
     assert err == message
 
@@ -476,7 +491,7 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
         # cov_interval envelope theta_star is asymmetric in its last bits
         (
             ["detector", "--config", "table1_desk.cfg"],
-            "53c36a7b2da7c05c6fe286048920e57f17d50f0d06cd9577d33e6fcdd61a62cb",
+            "3a5807d4c79eca5b937e55267093aabe9780f6912ad93a0634d9aaf347ce6053",
         ),
         # the only byte pin of the calibration path above d=3
         (
@@ -490,3 +505,16 @@ def test_every_config_branch_golden(argv, digest):
     code, out, err = run_cli(argv + ["--quiet"])
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_desk_detector_golden_without_iterations():
+    # every field but the outer iteration count, which records when the gap
+    # was certified rather than what was solved
+    code, out, err = run_cli(["detector", "--config", "table1_desk.cfg", "--quiet"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0][4] == "iterations"
+    kept = "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
+    assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == (
+        "a119d950594e25b290511c74983844d13ee11306bc0c8a082766b00e045c05e4"
+    )

@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import multivariate_normal
 from robustcusum import (
     AffineDetector,
     ClassSetup,
+    ConvergenceError,
     DomainError,
     Gaussian,
     MatrixInterval,
@@ -23,11 +26,12 @@ from robustcusum import (
     eval_phi_big,
     llr_detector,
     load_bundled_config,
+    parse_config,
     solve_saddle,
 )
 from robustcusum.config import squared_exp_offdiagonal
 from robustcusum.gaussian import sample_with
-from robustcusum.quadratic import _phi_pieces, _SaddleProblem
+from robustcusum.quadratic import _CHECK_EVERY, _phi_pieces, _SaddleProblem, _whiten
 
 
 def _singleton_setup(d, u=None, theta=None):
@@ -396,15 +400,42 @@ def test_saddle_interval_matches_symmetry_oracle(d):
     assert np.linalg.norm(in_basis - np.diag(np.diag(in_basis))) <= 1e-8
 
 
+# criterion 11's d=3 covariance scenario (tests/test_acceptance.py)
+_D3_COV_ROW = {
+    "dimension": 3,
+    "gamma": 200.0,
+    "arl_trials": 100,
+    "delay_trials": 100,
+    "seed": 5,
+    "threshold_mode": "calibrated",
+    "scenarios": [
+        {
+            "name": "cov_row",
+            "kind": "covariance_shift",
+            "u0": {"variant": "singleton_psd", "matrix": "identity"},
+            "u1": {"variant": "spectral_ball", "radius": 0.5},
+            "true_post_cov": {"kind": "random_member"},
+            "baseline": {"post_cov": {"kind": "random_member"}},
+        }
+    ],
+}
+
+
+def _scenario_problem(config, name):
+    """(setup0, setup1, saddle options) of one covariance scenario; `config`
+    is a bundled config name or a config document."""
+    cfg = load_bundled_config(config) if isinstance(config, str) else parse_config(json.dumps(config))
+    scen = next(s for s in cfg.scenarios if s.name == name)
+    (mean0, cov0), (mean1, cov1) = scen.classes
+    return ClassSetup(cov0, SingletonMean(mean0)), ClassSetup(cov1, SingletonMean(mean1)), cfg.saddle_options
+
+
 def test_saddle_work_count_on_paper_interval(monkeypatch):
     """The d=30 cov_interval solve of table1_paper.cfg stays inside a work
     budget, counted rather than timed.  Its first fixed-Theta inner
     minimization alone once made 3,371 objective evaluations for a bound
     that certified nothing."""
-    cfg = load_bundled_config("table1_paper.cfg")
-    scen = next(s for s in cfg.scenarios if s.name == "cov_interval")
-    (mean0, cov0), (mean1, cov1) = scen.classes
-    s0, s1 = ClassSetup(cov0, SingletonMean(mean0)), ClassSetup(cov1, SingletonMean(mean1))
+    s0, s1, opts = _scenario_problem("table1_paper.cfg", "cov_interval")
     counts = {"value_grad": 0, "eigh": 0}
 
     def counting(fn, key):
@@ -416,12 +447,88 @@ def test_saddle_work_count_on_paper_interval(monkeypatch):
 
     monkeypatch.setattr(_SaddleProblem, "value_grad", counting(_SaddleProblem.value_grad, "value_grad"))
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
-    sol = solve_saddle(s0, s1, cfg.saddle_options)
-    assert sol.gap <= cfg.saddle_options.gap_tol
+    sol = solve_saddle(s0, s1, opts)
+    assert sol.gap <= opts.gap_tol
     # 617 evaluations and 2,488 eigh calls when written; 3,903 and 22,930 before
     # the inner stagnation exit and the shared whitening
     assert counts["value_grad"] <= 1_000, counts
     assert counts["eigh"] <= 4_000, counts
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [(_D3_COV_ROW, "cov_row"), ("table1_desk.cfg", "cov_interval"), ("table1_desk.cfg", "cov_spectral")],
+    ids=["d3-cov_row", "desk-cov_interval", "desk-cov_spectral"],
+)
+def test_saddle_certifies_after_the_first_outer_step(config, name, monkeypatch):
+    # the certificate at H = 0 maximizes over Thetas that all tie there; the
+    # maximizing Thetas of its inner solution already close the gap, so the
+    # averaged Thetas' weaker bound is never solved for
+    s0, s1, opts = _scenario_problem(config, name)
+    calls = []
+    inner_min = _SaddleProblem.inner_min
+    monkeypatch.setattr(_SaddleProblem, "inner_min", lambda self, *args: calls.append(1) or inner_min(self, *args))
+    sol = solve_saddle(s0, s1, opts)
+    assert sol.iterations == 1
+    assert sol.gap <= opts.gap_tol
+    assert len(calls) == 2
+
+
+def test_uncertified_solve_certifies_at_iterations_0_1_and_every_check(monkeypatch):
+    s0, s1, _ = _scenario_problem(_D3_COV_ROW, "cov_row")
+    seen = []
+    inner_min = _SaddleProblem.inner_min
+
+    def recording(self, *args):
+        # frames: this wrapper, certify(), solve_saddle()
+        seen.append(sys._getframe(2).f_locals["iterations"])
+        return inner_min(self, *args)
+
+    monkeypatch.setattr(_SaddleProblem, "inner_min", recording)
+    opts = SaddleOptions(gap_tol=1e-300, max_iters=_CHECK_EVERY + 50)
+    with pytest.raises(ConvergenceError, match=f"reached {opts.max_iters} iterations"):
+        solve_saddle(s0, s1, opts)
+    assert set(seen) == {0, 1, _CHECK_EVERY}, seen
+    # iteration 0's two candidates coincide; later certificates solve at most two
+    assert seen.count(0) == 1 and len(seen) <= 5, seen
+
+
+def test_whiten_takes_class_1_decomposition_from_the_projection(monkeypatch):
+    s0, s1, opts = _scenario_problem("table1_desk.cfg", "cov_interval")
+    eigh_calls = [0]
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        eigh_calls[0] += 1
+        return eigh(a)
+
+    projected = {}
+    project, whiten = _SaddleProblem.project, _SaddleProblem.whiten
+
+    def recording_project(self, big_h):
+        projected["H"], projected["white1"] = out = project(self, big_h)
+        return out
+
+    handed = []
+
+    def checking_whiten(self, big_h, white1=None):
+        if big_h is projected.get("H") and projected["white1"] is not None:
+            assert white1 is projected["white1"]  # the projection's last clip left H unchanged
+        before = eigh_calls[0]
+        out = whiten(self, big_h, white1)
+        assert eigh_calls[0] - before == (2 if white1 is None else 1)
+        if white1 is not None:
+            assert out[1] is white1
+            assert all(map(np.array_equal, white1, _whiten(self.s1, big_h)))
+            handed.append(white1)
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(_SaddleProblem, "project", recording_project)
+    monkeypatch.setattr(_SaddleProblem, "whiten", checking_whiten)
+    sol = solve_saddle(s0, s1, opts)
+    assert sol.gap <= opts.gap_tol
+    assert len(handed) >= 10, len(handed)
 
 
 def _spectral_ball_audit():

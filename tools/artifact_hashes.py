@@ -6,14 +6,15 @@ must leave byte-identical.
 The package is imported from this checkout's src/, so running the script in
 two checkouts and diffing the two tables compares them.  The artifacts are
 every subcommand on criterion 11's d=3 config (csv and human, at --threads 1
-and 2), `experiment --scenario cov_row` on that config, `experiment` and
-`verify` on tests/data/every_branch.cfg (the config branches no bundled
-config reaches), `lfp` and `detector` on table1_paper.cfg, `edd`
-on table1_paper.cfg without its cov_interval scenario (the config of the
+and 2), `experiment --scenario cov_row` on that config, `experiment`,
+`verify` and `detector` on tests/data/every_branch.cfg (the config branches
+no bundled config reaches; `detector` pins the saddle solutions of its
+interval u0 directly), `lfp` and `detector` on table1_paper.cfg, `edd` on
+table1_paper.cfg without its cov_interval scenario (the config of the
 benchmark's paper_delay workload) and `detector` and `experiment` on
 table1_desk.cfg.  With these rows the table covers the artifacts of all
 four benchmark calls.  Each digest is printed as its first 16 hex digits.
-Takes about 13 s on 2 vCPUs with OPENBLAS_NUM_THREADS=1.
+Takes about 10 s on 2 vCPUs with OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def artifacts(d3_path: str, paper_delay_path: str):
     yield "d3 `experiment --scenario cov_row`", ["experiment", "--config", d3_path, "--scenario", "cov_row", "--threads", "2"]
     yield "every_branch.cfg `experiment`", ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "2"]
     yield "every_branch.cfg `verify`", ["verify", "--config", EVERY_BRANCH_CONFIG]
+    yield "every_branch.cfg `detector`", ["detector", "--config", EVERY_BRANCH_CONFIG]
     yield "table1_paper.cfg `lfp`", ["lfp", "--config", "table1_paper.cfg", "--threads", "2"]
     yield "table1_paper.cfg `detector`", ["detector", "--config", "table1_paper.cfg", "--threads", "2"]
     yield "table1_paper.cfg without cov_interval `edd`", ["edd", "--config", paper_delay_path, "--threads", "2"]
