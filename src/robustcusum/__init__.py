@@ -35,7 +35,6 @@ from .quadratic import (
     QuadraticDetector,
     SaddleOptions,
     SaddleSolution,
-    SingletonMean,
     build_quadratic_detector,
     compute_delta,
     default_theta_star,

@@ -8,7 +8,8 @@ Conventions: results go to stdout (or --out), diagnostics and progress to
 stderr only.  Exit codes: 0 success, 1 validation/usage error, 2 solver or
 calibration non-convergence.  Identical argv + config + seed produce
 byte-identical output artifacts.  Monte Carlo trials run on the calling
-thread; --threads is still parsed and range-checked but changes nothing.
+thread; --threads (default 1) is still parsed and range-checked but changes
+nothing.
 """
 
 from __future__ import annotations
@@ -72,13 +73,11 @@ def _add_common(sub):
     sub.add_argument("--seed", type=_bounded_int(0, SEED_LIMIT), default=None, help="override the config seed (< 2**64)")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", choices=_FORMATS, default="csv")
-    # a string default goes through `type` too, so one check covers the
-    # flag and the environment variable
     sub.add_argument(
         "--threads",
         type=_bounded_int(1),
-        default=os.environ.get("ROBUSTCUSUM_THREADS", str(os.cpu_count() or 1)),
-        help="accepted for compatibility, >= 1 (default: ROBUSTCUSUM_THREADS or available parallelism); "
+        default=1,
+        help="accepted for compatibility, >= 1 (default: 1); "
         "Monte Carlo trials run on the calling thread and the value changes nothing",
     )
     sub.add_argument("--quiet", action="store_true", help="suppress progress messages on stderr")

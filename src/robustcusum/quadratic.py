@@ -16,8 +16,11 @@ Structure of the saddle problem exploited here:
   Theta*^{1/2} H Theta*^{1/2} must lie in [-beta, beta] for each class.
   Projection is eigenvalue clipping in each whitened basis, alternated
   between the two classes (cyclic projection).
-* For singleton mean lifts the objective is an explicit strongly convex
-  quadratic in h at fixed H, so h is eliminated exactly by a linear solve.
+* Each class has one known mean u, so its lifted second-moment term is the
+  closed form u'Au + 2a'u + v'Rv at the class's detector pair (a, A) =
+  +-(h, H), with v = Au + a and R = (Theta*^{-1} - A)^{-1}.  The objective is
+  then an explicit strongly convex quadratic in h at fixed H, so h is
+  eliminated exactly by a linear solve.
   This yields rigorous duality-gap certificates: for any fixed feasible
   (Theta0, Theta1), the reduced objective G(H) = min_h F(h, H) is convex and
   G(H) + min_{H' feasible} <grad, H' - H> lower-bounds the saddle value.
@@ -73,32 +76,7 @@ _PROJECTION_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# mean lifts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SingletonMean:
-    """Lift of a single known mean u: Z = {[u;1][u;1]^T}."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.u, dtype=float).reshape(-1)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def dim(self):
-        return self.u.shape[0]
-
-    def support_with_argmax(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        z = np.concatenate([self.u, [1.0]])  # the lifted point [u; 1]
-        return float(z @ y @ z), np.outer(z, z)
-
-
-# ---------------------------------------------------------------------------
-# class setup: (U, Theta*, delta, Z)
+# class setup: (U, mean, Theta*, delta)
 # ---------------------------------------------------------------------------
 
 
@@ -186,20 +164,21 @@ def compute_delta(uset: MatrixSet, theta_star) -> float:
 
 
 class ClassSetup:
-    """One class's data: covariance set U, mean lift, and the dominating
-    Theta* (default_theta_star) and delta (compute_delta) derived from U.
+    """One class's data: covariance set U, the class's known mean, and the
+    dominating Theta* (default_theta_star) and delta (compute_delta) derived
+    from U.
 
     Caches the symmetric square root of Theta* and its inverse; those define
     the whitened basis every feasibility and objective computation works in.
     """
 
-    def __init__(self, uset: MatrixSet, lift: SingletonMean):
-        if not isinstance(lift, SingletonMean):
-            raise DomainError(f"the mean lift must be a SingletonMean, got {type(lift).__name__}")
-        if lift.dim != uset.dim:
-            raise DomainError(f"lift dimension {lift.dim} does not match set dimension {uset.dim}")
+    def __init__(self, uset: MatrixSet, mean):
+        mean = np.array(mean, dtype=float).reshape(-1)
+        if mean.shape[0] != uset.dim:
+            raise DomainError(f"mean dimension {mean.shape[0]} does not match set dimension {uset.dim}")
+        mean.setflags(write=False)
         self.uset = uset
-        self.lift = lift
+        self.mean = mean
         self.theta_star = default_theta_star(uset)
         self.delta = compute_delta(uset, self.theta_star)
         lam, q = np.linalg.eigh(self.theta_star)
@@ -238,7 +217,6 @@ def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, white=None):
 
     Returns (value, grad_a, grad_A, theta_used).
     """
-    d = setup.dim
     s_mat = setup.sqrt
     w, lam, q = _whiten(setup, big_a) if white is None else white
     spec = float(np.max(np.abs(lam)))
@@ -279,25 +257,21 @@ def _phi_pieces(setup: ClassSetup, a, big_a, theta=None, white=None):
             norm_sub = (sq * signs) @ sq.T / float(np.count_nonzero(top))
             grad_A_acc = grad_A_acc + kd * frob_sq / (1.0 - spec) ** 2 * norm_sub
 
-    # support-function term on the lifted second-moment block
-    c_mat = np.concatenate([big_a, a[:, None]], axis=1)  # d x (d+1)
-    block = np.zeros((d + 1, d + 1))
-    block[:d, :d] = big_a
-    block[:d, d] = a
-    block[d, :d] = a
-    y = block + c_mat.T @ r_inv @ c_mat
-    z_val, z_arg = setup.lift.support_with_argmax(_sym(y))
-    value += 0.5 * z_val
-    m = r_inv @ c_mat  # d x (d+1)
-    mz = m @ z_arg
-    grad_A_acc = grad_A_acc + 0.5 * (z_arg[:d, :d] + mz[:, :d] + mz[:, :d].T + mz @ m.T)
-    grad_a = z_arg[:d, d] + mz[:, d]
+    # mean term [u;1]' Y [u;1] of the lifted second-moment block, in closed
+    # form: u'Au + 2a'u + v'Rv with v = Au + a and R = (Theta*^{-1} - A)^{-1};
+    # its gradient is w = u + Rv in a and w w' in A (through R as well)
+    u = setup.mean
+    v = big_a @ u + a
+    rv = r_inv @ v
+    value += 0.5 * (float(u @ big_a @ u) + 2.0 * float(a @ u) + float(v @ rv))
+    grad_a = u + rv
+    grad_A_acc = grad_A_acc + 0.5 * np.outer(grad_a, grad_a)
     return value, grad_a, _sym(grad_A_acc), theta_used
 
 
 def eval_phi_big(h, big_h, theta, setup: ClassSetup) -> float:
     """The bounding function at detector parameters (h, H) and covariance
-    Theta, for this class's (Theta*, delta, lift)."""
+    Theta, for this class's (mean, Theta*, delta)."""
     h = np.asarray(h, dtype=float).reshape(-1)
     big_h = symmetrize(big_h, what="H")
     theta = symmetrize(theta, what="Theta")
@@ -368,7 +342,6 @@ class _SaddleProblem:
     def __init__(self, setup0: ClassSetup, setup1: ClassSetup, beta: float):
         self.s0, self.s1 = setup0, setup1
         self.beta = beta
-        self.d = setup0.dim
         # uniform lower bound on the h-Hessian eigenvalues over the feasible set
         self.h_strong = (setup0.theta_star_min_eig + setup1.theta_star_min_eig) / (2.0 * (1.0 + beta))
 
@@ -400,7 +373,7 @@ class _SaddleProblem:
         The h-dependence is quadratic with Hessian (R0^{-1} + R1^{-1}) / 2,
         independent of the Theta chosen in the linear term.
         """
-        u0, u1 = self.s0.lift.u, self.s1.lift.u
+        u0, u1 = self.s0.mean, self.s1.mean
         r0_inv = self._r_inv(self.s0, white[0])
         r1_inv = self._r_inv(self.s1, white[1])
         lhs = 0.5 * (r0_inv + r1_inv)

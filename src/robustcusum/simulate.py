@@ -28,7 +28,7 @@ from .cusum import MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_thre
 from .errors import CalibrationError, ConvergenceError, DomainError
 from .gaussian import Gaussian, SeededStream, kl_divergence
 from .lfp import build_affine_detector, solve_lfp
-from .quadratic import ClassSetup, SingletonMean, build_quadratic_detector, llr_detector, solve_saddle
+from .quadratic import ClassSetup, build_quadratic_detector, llr_detector, solve_saddle
 
 LANE_ARL = 1
 LANE_WDD = 2
@@ -217,10 +217,9 @@ def class_members(cfg: ExperimentConfig, scen: ScenarioConfig, prep: PreparedSce
             members0.append(Gaussian(mean0.sample_member(rng), cov0))
             members1.append(Gaussian(mean1.sample_member(rng), cov1))
     else:
-        jitter = 1e-9 * np.eye(cfg.dimension)  # keep sampled members factorizable
         for _ in range(n_members):
-            members0.append(Gaussian(mean0, cov0.sample_member(rng) + jitter))
-            members1.append(Gaussian(mean1, cov1.sample_member(rng) + jitter))
+            members0.append(Gaussian(mean0, cov0.sample_member(rng)))
+            members1.append(Gaussian(mean1, cov1.sample_member(rng)))
     return members0, members1
 
 
@@ -268,8 +267,8 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
         robust = build_affine_detector(sol, cov0)
         design_rng = None  # a mean-shift baseline draws nothing
     else:
-        setup0 = ClassSetup(cov0, SingletonMean(mean0))
-        setup1 = ClassSetup(cov1, SingletonMean(mean1))
+        setup0 = ClassSetup(cov0, mean0)
+        setup1 = ClassSetup(cov1, mean1)
         with _failure_context(scen.name):
             sol = solve_saddle(setup0, setup1, cfg.saddle_options)
         robust = build_quadratic_detector(sol, setup0, setup1)

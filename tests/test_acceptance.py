@@ -20,7 +20,6 @@ from robustcusum import (
     L1Ball,
     L2Ball,
     SeededStream,
-    SingletonMean,
     SingletonPSD,
     SingletonVector,
     SpectralBall,
@@ -155,8 +154,8 @@ def test_criterion_08_saddle_degenerate_consistency():
             for c in np.linspace(-3.0, 3.0, 241):
                 best = min(best, max(math.exp(-c + quad), math.exp(float(a @ u1) + c + quad)))
         assert abs(best - target) <= 2e-3, "oracle disagrees with closed form"
-        s0 = ClassSetup(SingletonPSD(np.eye(d)), SingletonMean(np.zeros(d)))
-        s1 = ClassSetup(SingletonPSD(np.eye(d)), SingletonMean(u1))
+        s0 = ClassSetup(SingletonPSD(np.eye(d)), np.zeros(d))
+        s1 = ClassSetup(SingletonPSD(np.eye(d)), u1)
         sol = solve_saddle(s0, s1)
         ok = ok and sol.gap <= 1e-4 and abs(math.exp(sol.sv) - target) <= 1e-2
         details.append(f"dsq={dsq}: exp(sv)={math.exp(sol.sv):.6f} vs {target:.6f}, gap={sol.gap:.1e}")
@@ -165,9 +164,9 @@ def test_criterion_08_saddle_degenerate_consistency():
 
 def test_criterion_09_quadratic_detector_bound_audit():
     d = 5
-    s0 = ClassSetup(SingletonPSD(np.eye(d)), SingletonMean(np.zeros(d)))
+    s0 = ClassSetup(SingletonPSD(np.eye(d)), np.zeros(d))
     ball = SpectralBall(0.5, d)
-    s1 = ClassSetup(ball, SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(ball, np.zeros(d))
     sol = solve_saddle(s0, s1)
     det = build_quadratic_detector(sol, s0, s1)
     rng = np.random.default_rng(909)

@@ -240,6 +240,34 @@ def test_verify_subcommand_all_pass(mini_cfg):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_verify_passes_a_singleton_against_a_growing_variance(tmp_path):
+    # pre-change: the singleton I; post-change: a variance increase to
+    # (1 + sigma) I, sigma in [1, 3].  The singleton's exact moment is eps*
+    # to within rounding, so an audited law other than N(0, I) reads as FAIL
+    raw = {
+        **MINI_CONFIG,
+        "dimension": 10,
+        "threshold_mode": "theoretical",
+        "scenarios": [
+            {
+                "name": "cov_growth",
+                "kind": "covariance_shift",
+                "u0": {"variant": "singleton_psd", "matrix": "identity"},
+                "u1": {"variant": "interval", "base": "identity", "direction": "identity", "sigma_range": [1, 3]},
+                "true_post_cov": {"kind": "random_member"},
+                "baseline": {"post_cov": {"kind": "random_member"}},
+            }
+        ],
+    }
+    path = tmp_path / "growth.cfg"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(["verify", "--config", str(path), "--quiet", "--members", "2"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert [row[5] for row in rows] == ["pass"] * 4
+
+
 @pytest.mark.parametrize("config", ["table1_desk.cfg", "table1_paper.cfg", "l1_mean.cfg"])
 def test_verify_bundled_config_all_pass(config):
     code, out, err = run_cli(["verify", "--config", config, "--quiet"])
@@ -287,16 +315,6 @@ def test_human_format_is_aligned(mini_cfg):
     code, out, err = run_cli(["lfp", "--config", mini_cfg, "--quiet", "--format", "human"])
     assert code == 0
     assert "," not in out.splitlines()[0]
-
-
-def test_thread_env_var_sets_default_but_flag_wins(monkeypatch):
-    from robustcusum.cli import build_parser
-
-    monkeypatch.setenv("ROBUSTCUSUM_THREADS", "3")
-    args = build_parser().parse_args(["arl", "--config", "x.cfg"])
-    assert args.threads == 3
-    args = build_parser().parse_args(["arl", "--config", "x.cfg", "--threads", "5"])
-    assert args.threads == 5
 
 
 def test_experiment_unknown_scenario_exits_one(mini_cfg):
@@ -371,16 +389,8 @@ def test_edd_all_censored_reports_nan_moments(tmp_path):
         assert row[3:] == ["nan", "nan", "100"]
 
 
-@pytest.mark.parametrize(
-    "flags, env",
-    [(["--threads", "0"], None), (["--threads", "-4"], None), ([], "0"), ([], "abc")],
-    ids=["flag-zero", "flag-negative", "env-zero", "env-not-int"],
-)
-def test_bad_thread_count_is_usage_error(mini_cfg, monkeypatch, flags, env):
-    if env is None:
-        monkeypatch.delenv("ROBUSTCUSUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("ROBUSTCUSUM_THREADS", env)
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-4"]], ids=["flag-zero", "flag-negative"])
+def test_bad_thread_count_is_usage_error(mini_cfg, flags):
     code, out, err = run_cli(["lfp", "--config", mini_cfg, "--quiet"] + flags)
     assert code == 1 and out == ""
     assert "usage" in err and "argument --threads" in err
@@ -485,7 +495,13 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
         ),
         (
             ["verify", "--config", EVERY_BRANCH_CONFIG],
-            "3201e8ae661159536832cb85cfccd7ef2cef9ee01b5a857dceae1c30c7a7d507",
+            "7b479f2ae11d257d1162098c06340b23c30c84b885a1ad45edcfd5ca8fbae61f",
+        ),
+        # the only shipped saddle with a nonzero class mean (the cov_fixed
+        # classes' [0.1, 0, -0.1])
+        (
+            ["detector", "--config", EVERY_BRANCH_CONFIG],
+            "d96bbef97f968e81fadf967a2c93867ea80dd1b8096a6fe3e4d9e4af10416e1f",
         ),
         # the only byte pin of the saddle solver above d=3: at d=10 the
         # cov_interval envelope theta_star is asymmetric in its last bits
@@ -499,7 +515,7 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
             "b7aa04e28529a18c3a644bcc108c7dfee50fef9a89b989d4d256a683265ec395",
         ),
     ],
-    ids=["experiment-threads-1", "experiment-threads-2", "verify", "desk-detector", "desk-experiment"],
+    ids=["experiment-threads-1", "experiment-threads-2", "verify", "detector", "desk-detector", "desk-experiment"],
 )
 def test_every_config_branch_golden(argv, digest):
     code, out, err = run_cli(argv + ["--quiet"])

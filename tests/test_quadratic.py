@@ -17,7 +17,6 @@ from robustcusum import (
     QuadraticDetector,
     SaddleOptions,
     SeededStream,
-    SingletonMean,
     SingletonPSD,
     SpectralBall,
     build_quadratic_detector,
@@ -30,12 +29,12 @@ from robustcusum import (
     solve_saddle,
 )
 from robustcusum.config import squared_exp_offdiagonal
-from robustcusum.gaussian import sample_with
+from robustcusum.gaussian import exp_quadratic_moment, sample_with
 from robustcusum.quadratic import _CHECK_EVERY, _phi_pieces, _SaddleProblem, _whiten
 
 
 def _singleton_setup(d, u=None, theta=None):
-    return ClassSetup(SingletonPSD(np.eye(d) if theta is None else theta), SingletonMean(np.zeros(d) if u is None else u))
+    return ClassSetup(SingletonPSD(np.eye(d) if theta is None else theta), np.zeros(d) if u is None else u)
 
 
 # -- delta ------------------------------------------------------------------
@@ -78,21 +77,6 @@ def test_default_theta_star_interval_uses_endpoint_when_dominant():
     assert np.allclose(default_theta_star(s), np.eye(3))
 
 
-# -- phi support ------------------------------------------------------------
-
-
-def test_phi_support_singleton_zero_mean_reads_corner():
-    lift = SingletonMean(np.zeros(2))
-    y = np.diag([5.0, 6.0, 7.0])
-    assert lift.support_with_argmax(y)[0] == pytest.approx(7.0, abs=1e-12)
-    assert lift.support_with_argmax(np.zeros((3, 3)))[0] == 0.0
-
-
-def test_phi_support_singleton_hand_case():
-    lift = SingletonMean(np.array([1.0, 0.0]))
-    assert lift.support_with_argmax(np.eye(3))[0] == pytest.approx(2.0, abs=1e-12)
-
-
 # -- bounding function ------------------------------------------------------
 
 
@@ -108,18 +92,37 @@ def test_phi_big_d1_hand_expansion():
     assert val == pytest.approx(0.5 * eta * eta, abs=1e-12)
 
 
+def test_phi_big_d1_hand_case_with_mean():
+    # log E exp(eta x) for x ~ N(mu, 1) is eta mu + eta^2 / 2
+    mu, eta = 0.7, 0.37
+    setup = _singleton_setup(1, u=np.array([mu]))
+    val = eval_phi_big(np.array([eta]), np.zeros((1, 1)), np.eye(1), setup)
+    assert val == pytest.approx(eta * mu + 0.5 * eta * eta, abs=1e-12)
+    assert val == pytest.approx(0.32745, abs=1e-12)
+
+
+def test_class_setup_rejects_mean_of_wrong_length():
+    with pytest.raises(DomainError, match="mean dimension 2 does not match set dimension 3"):
+        ClassSetup(SingletonPSD(np.eye(3)), np.zeros(2))
+
+
 def test_phi_big_matches_gaussian_log_moment_at_theta_star():
-    # with delta=0 and Theta=Theta*, the bound is the exact log-MGF
+    # with delta=0 and Theta=Theta*, the bound is the exact log-MGF: against
+    # the closed-form Gaussian moment and against Monte Carlo draws
     rng = np.random.default_rng(2)
     d = 3
     u = rng.normal(size=d) * 0.4
-    setup = _singleton_setup(d, u=u)
+    theta = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]])
+    setup = _singleton_setup(d, u=u, theta=theta)
+    g = Gaussian(u, theta)
+    x = sample_with(g, SeededStream(3, 1).generator(), 200_000)
     for _ in range(20):
         h = rng.normal(size=d) * 0.3
         a = rng.normal(size=(d, d))
         big_h = (a + a.T) / 2 * 0.15
-        val = eval_phi_big(h, big_h, np.eye(d), setup)
-        x = sample_with(Gaussian(u, np.eye(d)), SeededStream(3, 1).generator(), 200_000)
+        assert np.max(np.abs(np.linalg.eigvalsh(setup.sqrt @ big_h @ setup.sqrt))) < 1.0  # inside the domain
+        val = eval_phi_big(h, big_h, theta, setup)
+        assert val == pytest.approx(math.log(exp_quadratic_moment(g, big_h, h, 0.0)), abs=1e-10)
         quad = 0.5 * np.einsum("ij,ij->i", x @ big_h, x) + x @ h
         mc = math.log(float(np.mean(np.exp(quad))))
         assert val == pytest.approx(mc, abs=4e-2)
@@ -128,7 +131,7 @@ def test_phi_big_matches_gaussian_log_moment_at_theta_star():
 def test_phi_big_midpoint_convexity():
     rng = np.random.default_rng(7)
     d = 3
-    setup = ClassSetup(SpectralBall(0.6, d), SingletonMean(rng.normal(size=d) * 0.2))
+    setup = ClassSetup(SpectralBall(0.6, d), rng.normal(size=d) * 0.2)
     for _ in range(200):
         def rand_point():
             h = rng.normal(size=d) * 0.5
@@ -146,7 +149,7 @@ def test_phi_big_midpoint_convexity():
 def test_phi_big_linear_in_theta():
     rng = np.random.default_rng(8)
     d = 4
-    setup = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
+    setup = ClassSetup(SpectralBall(0.5, d), np.zeros(d))
     h = rng.normal(size=d) * 0.2
     a = rng.normal(size=(d, d))
     big_h = (a + a.T) / 2 * 0.2
@@ -170,8 +173,8 @@ def test_subgradients_match_finite_differences():
     d = 3
     setups = [
         _singleton_setup(d, u=rng.normal(size=d) * 0.3),
-        ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d))),
-        ClassSetup(MatrixInterval(np.eye(d), np.diag([0.0, 0.3, -0.2]), 0.0, 1.0), SingletonMean(np.zeros(d))),
+        ClassSetup(SpectralBall(0.5, d), np.zeros(d)),
+        ClassSetup(MatrixInterval(np.eye(d), np.diag([0.0, 0.3, -0.2]), 0.0, 1.0), np.zeros(d)),
     ]
     checked = 0
     step = 1e-5
@@ -254,7 +257,7 @@ def test_saddle_degenerate_singleton_matches_affine_oracle(dsq):
 def test_saddle_spectral_ball_with_support_brute_force():
     d = 2
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(SpectralBall(0.5, d), np.zeros(d))
     sol = solve_saddle(s0, s1)
     assert sol.sv < 0.0
     assert sol.gap <= 1e-4
@@ -271,7 +274,7 @@ def test_saddle_value_monotone_in_ball_radius():
     s0 = _singleton_setup(d)
     svs = []
     for rho in (0.3, 0.5):
-        s1 = ClassSetup(SpectralBall(rho, d), SingletonMean(np.zeros(d)))
+        s1 = ClassSetup(SpectralBall(rho, d), np.zeros(d))
         svs.append(solve_saddle(s0, s1).sv)
     assert svs[1] >= svs[0] - 1e-6  # larger post-change set cannot be easier
 
@@ -288,7 +291,7 @@ def test_saddle_rejects_bad_beta_and_dims():
 def test_saddle_feasibility_of_solution():
     d = 3
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(SpectralBall(0.5, d), np.zeros(d))
     sol = solve_saddle(s0, s1)
     for setup in (s0, s1):
         w = setup.sqrt @ sol.H_star @ setup.sqrt
@@ -379,7 +382,7 @@ def _interval_oracle(d, s0, s1, uset):
 def test_saddle_spectral_ball_matches_symmetry_oracle(d):
     rho = 0.5
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(SpectralBall(rho, d), SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(SpectralBall(rho, d), np.zeros(d))
     sol = solve_saddle(s0, s1)
     oracle = _spectral_oracle(d, rho, s0, s1)
     assert -_ROUNDING <= sol.sv - oracle <= sol.gap
@@ -391,7 +394,7 @@ def test_saddle_spectral_ball_matches_symmetry_oracle(d):
 def test_saddle_interval_matches_symmetry_oracle(d):
     uset = MatrixInterval(np.eye(d), squared_exp_offdiagonal(d), 0.5, 1.0)
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(uset, SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(uset, np.zeros(d))
     sol = solve_saddle(s0, s1)
     oracle, q = _interval_oracle(d, s0, s1, uset)
     assert -_ROUNDING <= sol.sv - oracle <= sol.gap
@@ -427,7 +430,7 @@ def _scenario_problem(config, name):
     cfg = load_bundled_config(config) if isinstance(config, str) else parse_config(json.dumps(config))
     scen = next(s for s in cfg.scenarios if s.name == name)
     (mean0, cov0), (mean1, cov1) = scen.classes
-    return ClassSetup(cov0, SingletonMean(mean0)), ClassSetup(cov1, SingletonMean(mean1)), cfg.saddle_options
+    return ClassSetup(cov0, mean0), ClassSetup(cov1, mean1), cfg.saddle_options
 
 
 def test_saddle_work_count_on_paper_interval(monkeypatch):
@@ -536,7 +539,7 @@ def _spectral_ball_audit():
     pre-change and ten post-change members, each with its Monte Carlo draws."""
     d = 3
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(SpectralBall(0.5, d), np.zeros(d))
     sol = solve_saddle(s0, s1)
     det = build_quadratic_detector(sol, s0, s1)
     g0 = Gaussian(np.zeros(d), np.eye(d))
@@ -576,7 +579,7 @@ def test_exact_moment_matches_monte_carlo():
 def test_detector_two_evaluation_paths_agree():
     d = 3
     s0 = _singleton_setup(d)
-    s1 = ClassSetup(SpectralBall(0.5, d), SingletonMean(np.zeros(d)))
+    s1 = ClassSetup(SpectralBall(0.5, d), np.zeros(d))
     sol = solve_saddle(s0, s1)
     det = build_quadratic_detector(sol, s0, s1)
     kappa = 0.5 * (
@@ -637,16 +640,3 @@ def test_equal_covariance_llr_is_affine_and_bit_equal(d):
     assert np.allclose(det.increments(xs), expected, atol=1e-9)
     # a pair with unequal covariances keeps the quadratic term
     assert isinstance(llr_detector(g0, Gaussian(g1.mean, 2.0 * cov)), QuadraticDetector)
-
-
-class _CornerLift:
-    # a valid lift oracle for d=2 ({e_3 e_3^T}), but not a singleton mean
-    dim = 2
-
-    def support_with_argmax(self, y):
-        return float(y[-1, -1]), np.diag([0.0, 0.0, 1.0])
-
-
-def test_class_setup_rejects_non_singleton_lift():
-    with pytest.raises(DomainError, match="SingletonMean"):
-        ClassSetup(SingletonPSD(np.eye(2)), _CornerLift())

@@ -219,7 +219,7 @@ def test_wdd_distribution_invariant_to_pre_change_member_singleton():
     assert stat <= 0.15
 
 
-def test_delay_times_thread_count_invariance():
+def test_delay_times_repeat_on_the_same_streams():
     d = 2
     sol = solve_lfp(SingletonVector(np.zeros(d)), SingletonVector(0.5 * np.ones(d)), np.eye(d))
     det = build_affine_detector(sol, np.eye(d))

@@ -11,8 +11,9 @@ and 2), `experiment --scenario cov_row` on that config, `experiment`,
 no bundled config reaches; `detector` pins the saddle solutions of its
 interval u0 directly), `lfp` and `detector` on table1_paper.cfg, `edd` on
 table1_paper.cfg without its cov_interval scenario (the config of the
-benchmark's paper_delay workload) and `detector` and `experiment` on
-table1_desk.cfg.  With these rows the table covers the artifacts of all
+benchmark's paper_delay workload) and `detector`, `verify` and `experiment`
+on table1_desk.cfg (its `verify` is the only row that audits members above
+d=3).  With these rows the table covers the artifacts of all
 four benchmark calls.  Each digest is printed as its first 16 hex digits.
 Takes about 10 s on 2 vCPUs with OPENBLAS_NUM_THREADS=1.
 """
@@ -87,6 +88,7 @@ def artifacts(d3_path: str, paper_delay_path: str):
     yield "table1_paper.cfg `detector`", ["detector", "--config", "table1_paper.cfg", "--threads", "2"]
     yield "table1_paper.cfg without cov_interval `edd`", ["edd", "--config", paper_delay_path, "--threads", "2"]
     yield "table1_desk.cfg `detector`", ["detector", "--config", "table1_desk.cfg", "--threads", "2"]
+    yield "table1_desk.cfg `verify`", ["verify", "--config", "table1_desk.cfg"]
     yield "table1_desk.cfg `experiment`", ["experiment", "--config", "table1_desk.cfg", "--threads", "2"]
 
 
