@@ -36,8 +36,6 @@ from .quadratic import (
     SaddleOptions,
     SaddleSolution,
     build_quadratic_detector,
-    compute_delta,
-    default_theta_star,
     eval_phi_big,
     llr_detector,
     solve_saddle,

@@ -6,6 +6,11 @@ exp(-phi)) and the post-change class (with exp(+phi)) are bounded by
 exp(sv), where sv is the value of a convex-concave saddle problem over
 (h, H) and the class covariances (Theta0, Theta1).
 
+Each class's dominating Theta* and its contraction bound delta come from
+set_constants, per set kind and without sampling any member (an interval's
+delta is a grid maximum).  Classes that provably share a Gaussian law are
+refused before the first iteration.
+
 Structure of the saddle problem exploited here:
 
 * The Theta-dependence of the bounding function is linear (only the term
@@ -59,7 +64,7 @@ from .sets import MatrixInterval, MatrixSet, SingletonPSD, SpectralBall
 
 _DOMAIN_MARGIN = 1e-9
 _DOMINATION_TOL = 1e-9
-# sigma grid used to audit interval sets; endpoints included.
+# sigma grid over which an interval's delta is maximized; endpoints included
 _INTERVAL_DELTA_GRID = 17
 
 # saddle solver: outer iterations between certificates (one more is taken
@@ -86,87 +91,62 @@ def _psd_sqrt(mat):
     return (q * np.sqrt(lam)) @ q.T
 
 
-def _audit_members(uset: MatrixSet) -> list[np.ndarray]:
-    """Deterministic member sample used by domination / delta audits."""
-    members = list(uset.extreme_members())
-    if isinstance(uset, SpectralBall):
-        members.append(np.zeros((uset.dim, uset.dim)))
-        rng = np.random.Generator(np.random.Philox(key=np.array([0xAD17, 0], dtype=np.uint64)))
-        for k in range(1, min(uset.dim, 4) + 1):
-            z = rng.standard_normal((uset.dim, k))
-            q, _ = np.linalg.qr(z)
-            members.append(uset.radius * (q @ q.T))
-    elif isinstance(uset, MatrixInterval):
-        for s in np.linspace(uset.sigma_lo, uset.sigma_hi, _INTERVAL_DELTA_GRID)[1:-1]:
-            members.append(uset.member(float(s)))
-    return members
+def _dominates(theta_star, theta) -> bool:
+    return float(np.linalg.eigvalsh(theta_star - theta)[0]) >= -_DOMINATION_TOL
 
 
-def _check_domination(theta_star, members):
-    for idx, theta in enumerate(members):
-        worst = float(np.linalg.eigvalsh(theta_star - theta)[0])
-        if worst < -_DOMINATION_TOL:
-            raise DomainError(
-                f"theta_star does not dominate member #{idx}: most negative eigenvalue "
-                f"of (theta_star - member) is {worst:.3e}"
-            )
+def _interval_constants(uset: MatrixInterval):
+    """(Theta*, delta) for {B + sigma V : sigma in [lo, hi]}.
 
+    lambda_min(E - B - sigma V) is concave in sigma, so E dominates the whole
+    segment as soon as it dominates both endpoints.  Theta* is the endpoint
+    with the larger trace when it dominates the other one, else the envelope
+    B + sigma_mid V + (sigma_spread / 2) |V|, which dominates every member
+    even for indefinite V.
 
-def default_theta_star(uset: MatrixSet) -> np.ndarray:
-    """Dominating matrix for the set.
-
-    Singleton: the point.  Spectral ball: radius * I.  Interval: the endpoint
-    with larger trace when it dominates the whole segment; otherwise the
-    certified envelope base + sigma_mid * V + (sigma_spread/2) * |V|, which
-    dominates every member even for indefinite directions V.
+    delta is the maximum of ||Theta(sigma)^{1/2} Theta*^{-1/2} - I|| over
+    _INTERVAL_DELTA_GRID evenly spaced sigmas, endpoints included.  That is a
+    sample, not a proof: no argument yet places the supremum on the grid.
     """
-    if isinstance(uset, SingletonPSD):
-        return uset.matrix.copy()
-    if isinstance(uset, SpectralBall):
-        return uset.radius * np.eye(uset.dim)
-    if isinstance(uset, MatrixInterval):
-        lo, hi = uset.extreme_members()
-        endpoint = hi if np.trace(hi) >= np.trace(lo) else lo
-        try:
-            _check_domination(endpoint, _audit_members(uset))
-            return endpoint
-        except DomainError:
-            pass
+    lo, hi = uset.member(uset.sigma_lo), uset.member(uset.sigma_hi)
+    star, other = (hi, lo) if np.trace(hi) >= np.trace(lo) else (lo, hi)
+    if not _dominates(star, other):
         mid = 0.5 * (uset.sigma_lo + uset.sigma_hi)
         spread = 0.5 * (uset.sigma_hi - uset.sigma_lo)
         lam, q = np.linalg.eigh(uset.direction)
-        abs_v = (q * np.abs(lam)) @ q.T
-        return uset.member(mid) + spread * abs_v
-    raise DomainError(f"no default dominating matrix for set type {type(uset).__name__}")
+        star = uset.member(mid) + spread * ((q * np.abs(lam)) @ q.T)
+        if not (_dominates(star, lo) and _dominates(star, hi)):
+            raise DomainError("the interval's envelope does not dominate its endpoints")
+    # the envelope is asymmetric in its last bits; delta reads (E + E') / 2
+    lam, q = np.linalg.eigh(symmetrize(star))
+    inv_sqrt = (q / np.sqrt(lam)) @ q.T
+    eye = np.eye(uset.dim)
+    grid = np.linspace(uset.sigma_lo, uset.sigma_hi, _INTERVAL_DELTA_GRID)
+    delta = max(float(np.linalg.norm(_psd_sqrt(uset.member(float(s))) @ inv_sqrt - eye, 2)) for s in grid)
+    return star, delta
 
 
-def compute_delta(uset: MatrixSet, theta_star) -> float:
-    """Smallest certified delta with ||Theta^{1/2} Theta*^{-1/2} - I|| <= delta
-    over the audited members, clamped to [0, 2].
+def set_constants(uset: MatrixSet) -> tuple[np.ndarray, float]:
+    """The dominating Theta* and the bound delta >= sup over the set of
+    ||Theta^{1/2} Theta*^{-1/2} - I||, per set kind.
 
-    The spectral ball returns 1: the PSD-cone boundary (Theta -> 0) is in the
-    closure and already attains ||0 - I|| = 1, and no member exceeds it.
+    Singleton {M}: (M, 0).  Spectral ball of radius r: (r I, 1), exactly:
+    every member has Theta <= ||Theta|| I <= r I, so the eigenvalues of
+    (Theta / r)^{1/2} lie in [0, 1], and the member 0 attains 1.  Interval:
+    see _interval_constants.
     """
-    theta_star = symmetrize(theta_star, what="theta_star")
-    members = _audit_members(uset)
-    _check_domination(theta_star, members)
-    lam, q = np.linalg.eigh(theta_star)
-    if lam[0] <= 0:
-        raise DomainError("theta_star must be positive definite")
-    star_inv_sqrt = (q / np.sqrt(lam)) @ q.T
-    worst = 0.0
-    for theta in members:
-        m = _psd_sqrt(theta) @ star_inv_sqrt
-        worst = max(worst, float(np.linalg.norm(m - np.eye(m.shape[0]), 2)))
+    if isinstance(uset, SingletonPSD):
+        return uset.matrix, 0.0
     if isinstance(uset, SpectralBall):
-        worst = max(worst, 1.0)
-    return float(min(max(worst, 0.0), 2.0))
+        return uset.radius * np.eye(uset.dim), 1.0
+    if isinstance(uset, MatrixInterval):
+        return _interval_constants(uset)
+    raise DomainError(f"no dominating matrix for set type {type(uset).__name__}")
 
 
 class ClassSetup:
     """One class's data: covariance set U, the class's known mean, and the
-    dominating Theta* (default_theta_star) and delta (compute_delta) derived
-    from U.
+    dominating Theta* and delta derived from U (set_constants).
 
     Caches the symmetric square root of Theta* and its inverse; those define
     the whitened basis every feasibility and objective computation works in.
@@ -179,8 +159,7 @@ class ClassSetup:
         mean.setflags(write=False)
         self.uset = uset
         self.mean = mean
-        self.theta_star = default_theta_star(uset)
-        self.delta = compute_delta(uset, self.theta_star)
+        self.theta_star, self.delta = set_constants(uset)
         lam, q = np.linalg.eigh(self.theta_star)
         if lam[0] <= 0:
             raise DomainError("theta_star must be positive definite")
@@ -458,11 +437,25 @@ class _SaddleProblem:
         return val, h, big_h, bound
 
 
+def _classes_overlap(setup0: ClassSetup, setup1: ClassSetup) -> bool:
+    """Whether the classes provably share a Gaussian law, where sv = 0 exactly
+    and the solver never closes its gap: equal means, and a singleton the
+    other set contains or two spectral balls (both hold eps * I).  Two equal
+    singletons stay with the solver, which certifies sv = 0 at once."""
+    u0, u1 = setup0.uset, setup1.uset
+    if not np.array_equal(setup0.mean, setup1.mean) or type(u0) is type(u1) is SingletonPSD:
+        return False
+    if type(u0) is type(u1) is SpectralBall:
+        return True
+    return any(isinstance(a, SingletonPSD) and b.contains(a.matrix) for a, b in ((u0, u1), (u1, u0)))
+
+
 def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | None = None) -> SaddleSolution:
     """Solve the detector-design saddle problem for two class setups.
 
     `opts.beta` bounds the whitened detector matrix away from the log-det
-    domain boundary; it must lie strictly inside (0, 1).  Raises
+    domain boundary; it must lie strictly inside (0, 1).  Classes that
+    provably overlap (_classes_overlap) raise DomainError at once.  Raises
     ConvergenceError with the last iterate when the duality gap is still
     above `opts.gap_tol` after `opts.max_iters` outer iterations.
     """
@@ -471,6 +464,8 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
         raise DomainError(f"beta must lie in (0, 1), got {opts.beta}")
     if setup0.dim != setup1.dim:
         raise DomainError(f"class dimensions differ: {setup0.dim} vs {setup1.dim}")
+    if _classes_overlap(setup0, setup1):
+        raise DomainError("uncertainty sets overlap; change undetectable")
     prob = _SaddleProblem(setup0, setup1, opts.beta)
     d = setup0.dim
 

@@ -2,8 +2,10 @@
 
 Vector sets expose exact Euclidean projection and membership; matrix sets
 expose membership and an exact linear support oracle (max of Tr(Theta @ H)
-over the set, together with an attaining member).  All sets are immutable
-value objects and every oracle is a pure function of its arguments.
+over the set, together with an attaining member); quadratic.set_constants
+derives each matrix set's dominating matrix and contraction bound from its
+kind and parameters alone.  All sets are immutable value objects and every
+oracle is a pure function of its arguments.
 
 Projections are Euclidean on purpose: the solver for the least-favorable
 pair takes gradient steps in the Sigma^{-1} metric and projects Euclidean,
@@ -192,22 +194,23 @@ class MatrixSet:
     def contains(self, theta, tol: float = 1e-9) -> bool:
         raise NotImplementedError
 
-    def extreme_members(self) -> list[np.ndarray]:
-        """Deterministic members used for domination and delta audits."""
-        raise NotImplementedError
-
     def sample_member(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class SingletonPSD(MatrixSet):
+    """{matrix}, positive definite: the matrix is its own dominating Theta*,
+    which the quadratic detector inverts."""
+
     matrix: np.ndarray
 
     def __post_init__(self):
         m = symmetrize(self.matrix, what="matrix")
-        if np.any(np.linalg.eigvalsh(m) < -1e-12):
-            raise ValueError("singleton member must be PSD")
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise ValueError("singleton member must be positive definite") from None
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @property
@@ -221,9 +224,6 @@ class SingletonPSD(MatrixSet):
     def contains(self, theta, tol=1e-9):
         t = np.asarray(theta, dtype=float)
         return t.shape == self.matrix.shape and float(np.linalg.norm(t - self.matrix)) <= tol
-
-    def extreme_members(self):
-        return [self.matrix.copy()]
 
     def sample_member(self, rng):
         return self.matrix.copy()
@@ -259,9 +259,6 @@ class SpectralBall(MatrixSet):
             return False
         lam = np.linalg.eigvalsh((t + t.T) / 2.0)
         return bool(lam[0] >= -tol and lam[-1] <= self.radius + tol)
-
-    def extreme_members(self):
-        return [self.radius * np.eye(self.dim)]
 
     def sample_member(self, rng):
         """radius * Q diag(D) Q^T with Haar Q and uniform D on [0, 1]."""
@@ -320,9 +317,6 @@ class MatrixInterval(MatrixSet):
         sigma = float(np.sum((t - self.base) * self.direction)) / vnorm_sq
         sigma = min(max(sigma, self.sigma_lo), self.sigma_hi)
         return float(np.linalg.norm(t - self.member(sigma))) <= tol
-
-    def extreme_members(self):
-        return [self.member(self.sigma_lo), self.member(self.sigma_hi)]
 
     def sample_member(self, rng):
         return self.member(float(rng.uniform(self.sigma_lo, self.sigma_hi)))

@@ -440,6 +440,34 @@ def test_solver_failure_names_where_it_failed(tmp_path, command, edit, message):
     assert message in err
 
 
+def _ball_against_identity(tmp_path, d, radius):
+    raw = {
+        **MINI_CONFIG,
+        "dimension": d,
+        "threshold_mode": "theoretical",
+        "scenarios": [{**MINI_CONFIG["scenarios"][1], "u1": {"variant": "spectral_ball", "radius": radius}}],
+    }
+    path = tmp_path / "ball.cfg"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_overlapping_covariance_classes_are_refused_at_once(tmp_path, d):
+    # a ball of radius 1.5 contains the identity: both classes hold N(0, I),
+    # so no detector separates them and the saddle value is exactly 0
+    code, out, err = run_cli(["detector", "--config", _ball_against_identity(tmp_path, d, 1.5), "--quiet"])
+    assert code == 1 and out == ""
+    assert "uncertainty sets overlap; change undetectable" in err
+
+
+def test_nearly_overlapping_covariance_classes_still_solve(tmp_path):
+    code, out, err = run_cli(["detector", "--config", _ball_against_identity(tmp_path, 3, 0.99), "--quiet"])
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    assert float(row[1]) < 0.0 and float(row[3]) == pytest.approx(0.999995, abs=1e-6)
+
+
 def test_calibration_grows_bracket_when_lower_end_is_above_gamma():
     # at seed 409 the cov_spectral baseline's ARL at 0.1 b_cert is 973.7 > 500:
     # its threshold lies below the starting bracket, at about -2.31
@@ -507,7 +535,7 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
         # cov_interval envelope theta_star is asymmetric in its last bits
         (
             ["detector", "--config", "table1_desk.cfg"],
-            "3a5807d4c79eca5b937e55267093aabe9780f6912ad93a0634d9aaf347ce6053",
+            "06fde1a5fdd76fd9bea148b7c9a4b0502de6598f573b9a1b4fe53aa3640dbb55",
         ),
         # the only byte pin of the calibration path above d=3
         (
@@ -532,5 +560,5 @@ def test_desk_detector_golden_without_iterations():
     assert rows[0][4] == "iterations"
     kept = "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
     assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == (
-        "a119d950594e25b290511c74983844d13ee11306bc0c8a082766b00e045c05e4"
+        "dfd1bd057f1691b360ee960263625829a5d870588226a60cc2b9e2f4a78345cf"
     )

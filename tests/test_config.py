@@ -195,6 +195,20 @@ def test_scenarios_are_built_at_parse():
     assert cfg.with_seed(99).scenarios is cfg.scenarios
 
 
+def test_singular_singleton_is_a_violation_naming_the_class():
+    doc = _valid_doc()
+    doc["scenarios"][0] = {
+        "name": "c",
+        "kind": "covariance_shift",
+        "u0": {"variant": "singleton_psd", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]},
+        "u1": {"variant": "spectral_ball", "radius": 0.5},
+        "true_post_cov": {"kind": "random_member"},
+        "baseline": {"post_cov": {"kind": "random_member"}},
+    }
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.u0: singleton member must be positive definite"):
+        parse_config(json.dumps(doc))
+
+
 def test_interval_endpoint_pd_failure_is_a_violation():
     doc = _valid_doc()
     doc["scenarios"][0] = {

@@ -20,8 +20,6 @@ from robustcusum import (
     SingletonPSD,
     SpectralBall,
     build_quadratic_detector,
-    compute_delta,
-    default_theta_star,
     eval_phi_big,
     llr_detector,
     load_bundled_config,
@@ -30,33 +28,39 @@ from robustcusum import (
 )
 from robustcusum.config import squared_exp_offdiagonal
 from robustcusum.gaussian import exp_quadratic_moment, sample_with
-from robustcusum.quadratic import _CHECK_EVERY, _phi_pieces, _SaddleProblem, _whiten
+from robustcusum.quadratic import _CHECK_EVERY, _phi_pieces, _SaddleProblem, _whiten, set_constants
 
 
 def _singleton_setup(d, u=None, theta=None):
     return ClassSetup(SingletonPSD(np.eye(d) if theta is None else theta), np.zeros(d) if u is None else u)
 
 
-# -- delta ------------------------------------------------------------------
+# -- set constants: (Theta*, delta) from set_constants ------------------------
 
 
 def test_delta_zero_for_matched_singleton():
-    assert compute_delta(SingletonPSD(np.eye(3)), np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+    star, delta = set_constants(SingletonPSD(np.eye(3)))
+    assert np.array_equal(star, np.eye(3)) and delta == 0.0
+
+
+def test_set_constants_non_identity_singleton_is_exact():
+    m = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])
+    star, delta = set_constants(SingletonPSD(m))
+    assert np.array_equal(star, m) and delta == 0.0
 
 
 def test_delta_for_scaled_identity_interval():
     # members c*I for c in [0.5, 1]: worst member is c = 0.5
     s = MatrixInterval(0.5 * np.eye(3), np.eye(3), 0.0, 0.5)
-    assert compute_delta(s, np.eye(3)) == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)
+    _, delta = set_constants(s)
+    assert delta == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)
 
 
 def test_delta_for_spectral_ball_is_one():
-    assert compute_delta(SpectralBall(0.5, 3), 0.5 * np.eye(3)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_delta_rejects_non_dominating_theta_star():
-    with pytest.raises(DomainError, match="eigenvalue"):
-        compute_delta(SingletonPSD(np.eye(2)), 0.5 * np.eye(2))
+    # exactly (r I, 1): every member lies below r I and the member 0 attains 1
+    for radius, d in ((0.5, 3), (1.0, 2), (2.5, 7)):
+        star, delta = set_constants(SpectralBall(radius, d))
+        assert np.array_equal(star, radius * np.eye(d)) and delta == 1.0
 
 
 def test_default_theta_star_interval_falls_back_to_envelope():
@@ -67,14 +71,43 @@ def test_default_theta_star_interval_falls_back_to_envelope():
             if i != j:
                 v[i, j] = math.exp(-((i - j) ** 2))
     s = MatrixInterval(np.eye(4), v, 0.5, 1.0)
-    star = default_theta_star(s)
-    for sigma in np.linspace(0.5, 1.0, 21):
-        assert np.linalg.eigvalsh(star - s.member(float(sigma)))[0] >= -1e-9
+    star, delta = set_constants(s)
+    assert not np.allclose(star, s.member(1.0)) and not np.allclose(star, s.member(0.5))
+    lam, q = np.linalg.eigh((star + star.T) / 2.0)
+    inv_sqrt = (q / np.sqrt(lam)) @ q.T
+    for sigma in np.linspace(0.5, 1.0, 101):
+        member = s.member(float(sigma))
+        assert np.linalg.eigvalsh(star - member)[0] >= -1e-9
+        lam_m, q_m = np.linalg.eigh(member)
+        root = (q_m * np.sqrt(lam_m)) @ q_m.T
+        assert np.linalg.norm(root @ inv_sqrt - np.eye(4), 2) <= delta + 1e-9
+    assert 0.0 < delta < 1.0
 
 
 def test_default_theta_star_interval_uses_endpoint_when_dominant():
     s = MatrixInterval(0.5 * np.eye(3), np.eye(3), 0.0, 0.5)  # direction PSD: top endpoint dominates
-    assert np.allclose(default_theta_star(s), np.eye(3))
+    star, _ = set_constants(s)
+    assert np.array_equal(star, s.member(0.5))
+
+
+@pytest.mark.parametrize(
+    "uset",
+    [
+        SingletonPSD(np.diag([2.0, 1.0, 0.5])),
+        SpectralBall(0.5, 3),
+        MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), 0.5, 1.0),
+        MatrixInterval(0.5 * np.eye(3), np.eye(3), 0.0, 0.5),
+    ],
+    ids=["singleton", "ball", "interval-envelope", "interval-endpoint"],
+)
+def test_class_setup_draws_no_random_numbers(uset, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ClassSetup built a random generator")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    setup = ClassSetup(uset, np.zeros(3))
+    assert setup.theta_star.shape == (3, 3)
 
 
 # -- bounding function ------------------------------------------------------
@@ -286,6 +319,29 @@ def test_saddle_rejects_bad_beta_and_dims():
         solve_saddle(s2, s2, opts=SaddleOptions(beta=1.0))
     with pytest.raises(DomainError, match="dimensions"):
         solve_saddle(s2, s3)
+
+
+@pytest.mark.parametrize(
+    "u0, u1",
+    [
+        (SingletonPSD(np.eye(3)), SpectralBall(1.5, 3)),
+        (SpectralBall(2.0, 3), SingletonPSD(np.diag([1.0, 2.0, 0.5]))),
+        (SpectralBall(0.1, 3), SpectralBall(0.5, 3)),
+        (SingletonPSD(np.eye(3)), MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), -0.2, 0.3)),
+    ],
+    ids=["singleton-in-ball", "ball-holds-singleton", "two-balls", "singleton-in-interval"],
+)
+def test_saddle_refuses_overlapping_classes(u0, u1):
+    with pytest.raises(DomainError, match="uncertainty sets overlap; change undetectable"):
+        solve_saddle(ClassSetup(u0, np.zeros(3)), ClassSetup(u1, np.zeros(3)))
+
+
+def test_saddle_two_balls_with_different_means_solve():
+    # equal balls overlap only when the class means agree too (criterion 8's
+    # singleton pair with different means is the affine-oracle test above)
+    u1 = np.array([math.sqrt(2.0), 0.0, 0.0])
+    sol = solve_saddle(ClassSetup(SpectralBall(0.5, 3), np.zeros(3)), ClassSetup(SpectralBall(0.5, 3), u1))
+    assert sol.gap <= 1e-4 and sol.sv < 0.0
 
 
 def test_saddle_feasibility_of_solution():

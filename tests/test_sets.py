@@ -150,6 +150,11 @@ def test_support_dominates_random_members(mset):
         assert float(np.sum(member * h)) <= value + 1e-9
 
 
+def test_singleton_requires_positive_definite_matrix():
+    with pytest.raises(ValueError, match="positive definite"):
+        SingletonPSD(np.diag([1.0, 1.0, 0.0]))
+
+
 def test_interval_requires_pd_endpoints():
     v = -np.eye(2)
     with pytest.raises(ValueError, match="positive definite"):

@@ -13,7 +13,9 @@ interval u0 directly), `lfp` and `detector` on table1_paper.cfg, `edd` on
 table1_paper.cfg without its cov_interval scenario (the config of the
 benchmark's paper_delay workload) and `detector`, `verify` and `experiment`
 on table1_desk.cfg (its `verify` is the only row that audits members above
-d=3).  With these rows the table covers the artifacts of all
+d=3) and `detector` on a d=3 config whose u0 is a non-identity singleton
+(the only row whose Theta* is neither the identity, a multiple of it nor an
+interval's).  With these rows the table covers the artifacts of all
 four benchmark calls.  Each digest is printed as its first 16 hex digits.
 Takes about 10 s on 2 vCPUs with OPENBLAS_NUM_THREADS=1.
 """
@@ -60,6 +62,17 @@ D3_CONFIG = {
     ],
 }
 
+# criterion 11's cov_row with a non-identity singleton u0
+D3_SINGLETON_CONFIG = {
+    **D3_CONFIG,
+    "scenarios": [
+        {
+            **D3_CONFIG["scenarios"][1],
+            "u0": {"variant": "singleton_psd", "matrix": [[2, 0.5, 0], [0.5, 2, 0.5], [0, 0.5, 2]]},
+        }
+    ],
+}
+
 EVERY_BRANCH_CONFIG = str(ROOT / "tests" / "data" / "every_branch.cfg")
 PAPER_CONFIG = ROOT / "src" / "robustcusum" / "configs" / "table1_paper.cfg"
 
@@ -73,7 +86,7 @@ def paper_delay_config() -> dict:
     return raw
 
 
-def artifacts(d3_path: str, paper_delay_path: str):
+def artifacts(d3_path: str, paper_delay_path: str, d3_singleton_path: str):
     """(label, argv without --out) for every artifact in the table."""
     for command in COMMANDS:
         for fmt in ("csv", "human"):
@@ -90,6 +103,7 @@ def artifacts(d3_path: str, paper_delay_path: str):
     yield "table1_desk.cfg `detector`", ["detector", "--config", "table1_desk.cfg", "--threads", "2"]
     yield "table1_desk.cfg `verify`", ["verify", "--config", "table1_desk.cfg"]
     yield "table1_desk.cfg `experiment`", ["experiment", "--config", "table1_desk.cfg", "--threads", "2"]
+    yield "d3 non-identity singleton `detector`", ["detector", "--config", d3_singleton_path]
 
 
 def main() -> int:
@@ -98,10 +112,12 @@ def main() -> int:
         d3_path.write_text(json.dumps(D3_CONFIG), encoding="utf-8")
         paper_delay_path = Path(tmp) / "paper_delay.cfg"
         paper_delay_path.write_text(json.dumps(paper_delay_config()), encoding="utf-8")
+        d3_singleton_path = Path(tmp) / "d3_singleton.cfg"
+        d3_singleton_path.write_text(json.dumps(D3_SINGLETON_CONFIG), encoding="utf-8")
         out = Path(tmp) / "artifact"
         print("| artifact | sha256 |")
         print("|---|---|")
-        for label, argv in artifacts(str(d3_path), str(paper_delay_path)):
+        for label, argv in artifacts(str(d3_path), str(paper_delay_path), str(d3_singleton_path)):
             code = dispatch(argv + ["--quiet", "--out", str(out)])
             if code != 0:
                 print(f"error: {label} exited {code}", file=sys.stderr)
