@@ -8,13 +8,9 @@ formulas and Monte Carlo simulation.
 
 from .config import ExperimentConfig, load_bundled_config, load_config, parse_config, serialize_config
 from .cusum import (
-    ArraySource,
-    CusumState,
-    GaussianSource,
     StoppingResult,
     calibrate_threshold_mc,
     run_until_alarm,
-    step,
     threshold_from_gamma,
 )
 from .errors import (
@@ -26,7 +22,6 @@ from .errors import (
     FlagError,
     NotPositiveDefiniteError,
     RobustCusumError,
-    StreamExhaustedError,
 )
 from .gaussian import Gaussian, SeededStream, kl_divergence, mahalanobis_sq
 from .lfp import AffineDetector, LfpSolution, SolverOptions, build_affine_detector, solve_lfp

@@ -28,7 +28,7 @@ from .cusum import ARL_HORIZON_FACTOR, DEFAULT_DELAY_HORIZON, MIN_TRIALS
 from .errors import ConfigError
 from .lfp import SolverOptions
 from .quadratic import SaddleOptions
-from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall
+from .sets import Box, L1Ball, L2Ball, MatrixInterval, SingletonPSD, SingletonVector, SpectralBall, positive_definite
 
 THRESHOLD_MODES = ("theoretical", "calibrated")
 SCENARIO_KINDS = ("mean_shift", "covariance_shift")
@@ -144,6 +144,22 @@ def _matrix_payload(value, d, path, v: _Validator):
     return None
 
 
+def _check_covariance(mat, path, v: _Validator, what="covariance") -> bool:
+    """Whether `mat` is a covariance a Gaussian accepts; records a violation
+    when it is not."""
+    try:
+        positive_definite(mat, what=what)
+    except ValueError as exc:
+        v.fail(path, str(exc))
+        return False
+    return True
+
+
+def _covariance_payload(value, d, path, v: _Validator):
+    mat = _matrix_payload(value, d, path, v)
+    return mat if mat is not None and _check_covariance(mat, path, v) else None
+
+
 def _build_vector_set(spec, d, path, v: _Validator):
     if not isinstance(spec, dict):
         v.fail(path, "must be an object with a 'variant' key")
@@ -254,7 +270,7 @@ def _cov_sampler(spec, d, path, v: _Validator, u1, u1_variant, *, allow_interval
         return lambda rng: u1.sample_member(rng)
     if kind == "fixed":
         if v.require_keys(spec, path, ("kind", "value")):
-            value = _matrix_payload(spec["value"], d, f"{path}.value", v)
+            value = _covariance_payload(spec["value"], d, f"{path}.value", v)
             return lambda rng: value
         return None
     if kind == "interval_point" and allow_interval_point:
@@ -263,6 +279,8 @@ def _cov_sampler(spec, d, path, v: _Validator, u1, u1_variant, *, allow_interval
             sigma = v.number(spec, path, "sigma")
         if u1_variant is not None and u1_variant != "interval":
             v.fail(path, "interval_point requires an interval post-change set")
+        elif isinstance(u1, MatrixInterval) and sigma is not None:
+            _check_covariance(u1.member(sigma), f"{path}.sigma", v, what=f"interval member at sigma={sigma:g}")
         return lambda rng: u1.member(sigma)
     v.fail(f"{path}.kind", f"unknown covariance sampler kind {kind!r}")
     return None
@@ -438,7 +456,7 @@ def _mean_shift_laws(scen, d, path, v: _Validator):
     found = len(v.violations)
     m0 = _build_vector_set(scen["m0"], d, f"{path}.m0", v)
     m1 = _build_vector_set(scen["m1"], d, f"{path}.m1", v)
-    sigma = _matrix_payload(scen["sigma"], d, f"{path}.sigma", v)
+    sigma = _covariance_payload(scen["sigma"], d, f"{path}.sigma", v)
     post_mean = _mean_sampler(scen["true_post_mean"], d, f"{path}.true_post_mean", v)
     pre_mean = m0.point if isinstance(m0, SingletonVector) else None
     if "true_pre_mean" in scen:
@@ -475,7 +493,7 @@ def _covariance_shift_laws(scen, d, path, v: _Validator):
     post_cov = _cov_sampler(scen["true_post_cov"], d, f"{path}.true_post_cov", v, u1, u1_variant)
     pre_cov = u0.matrix if isinstance(u0, SingletonPSD) else None
     if "true_pre_cov" in scen:
-        pre_cov = _matrix_payload(scen["true_pre_cov"], d, f"{path}.true_pre_cov", v)
+        pre_cov = _covariance_payload(scen["true_pre_cov"], d, f"{path}.true_pre_cov", v)
     elif u0 is not None and pre_cov is None:
         v.fail(f"{path}.true_pre_cov", "required when u0 is not a singleton")
     mean0 = _vector_payload(scen.get("mean0", "zeros"), d, f"{path}.mean0", v)
@@ -488,7 +506,7 @@ def _covariance_shift_laws(scen, d, path, v: _Validator):
             )
             base_pre = pre_cov
             if "pre_cov" in baseline:
-                base_pre = _matrix_payload(baseline["pre_cov"], d, f"{path}.baseline.pre_cov", v)
+                base_pre = _covariance_payload(baseline["pre_cov"], d, f"{path}.baseline.pre_cov", v)
     else:
         v.fail(f"{path}.baseline", "must be an object")
     if len(v.violations) > found:

@@ -5,15 +5,18 @@ procedure alarms at the first t with S_t >= b.  This recursion equals the
 max-form statistic max_{1<=k<=t} sum_{i=k}^t increment_i (verified against a
 brute-force oracle in the test suite, not assumed).
 
-`run_until_alarm` evaluates the same recursion block-wise with cumulative
-sums and running minima so long horizons cost O(horizon) numpy work instead
-of a Python loop per step:
+One generator, `statistic_blocks`, evaluates the statistic.  It draws a
+run's observations block by block and evaluates each block with cumulative
+sums and running minima, so long horizons cost O(horizon) numpy work
+instead of a Python loop per step:
 
     S_t = max(s0 + C_t, C_t - min_{0<=j<=t-1} C_j),   C_0 = 0, s0 = max(S_prev, 0)
 
 Blocks start at 16 rows and double up to 1,024, so a run that alarms early
 draws few rows it never scans.  Philox yields the same normals however a
 request is split, so the block sizes do not change the observations.
+`run_until_alarm` reads the blocks up to the first alarm; calibration's
+`_LazyRun` reads them as far as the thresholds it is asked about need.
 
 Thresholds come either from the certified rule b = log(gamma) +
 log(eps*/(1-eps*)) or from Monte Carlo calibration via bisection on b with
@@ -30,16 +33,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, StreamExhaustedError
+from .errors import CalibrationError, DomainError
 from .gaussian import Gaussian, sample_with
 
-# a run's first observation block; later blocks double up to _DEFAULT_BLOCK
+# a run's first observation block; later blocks double up to _MAX_BLOCK
 _FIRST_BLOCK = 16
-_DEFAULT_BLOCK = 1024
+_MAX_BLOCK = 1024
 
 # fewest trials a Monte Carlo estimate (ARL, delay, calibration) accepts
 MIN_TRIALS = 100
@@ -55,27 +58,6 @@ _MAX_BRACKET_GROWTH = 4
 
 
 @dataclass(frozen=True)
-class CusumState:
-    threshold: float
-    statistic: float = 0.0
-    time: int = 0
-    alarmed: bool = False
-
-
-def step(state: CusumState, increment: float) -> CusumState:
-    """One reflected-CUSUM update; alarming is absorbing."""
-    if state.alarmed:
-        raise DomainError("cannot step an alarmed CUSUM state; reset first")
-    stat = max(state.statistic, 0.0) + increment
-    return replace(
-        state,
-        statistic=stat,
-        time=state.time + 1,
-        alarmed=stat >= state.threshold,
-    )
-
-
-@dataclass(frozen=True)
 class StoppingResult:
     alarm_time: int | None  # None when censored at the horizon
     final_statistic: float
@@ -84,46 +66,6 @@ class StoppingResult:
     @property
     def censored(self) -> bool:
         return self.alarm_time is None
-
-
-class GaussianSource:
-    """Endless observation source: i.i.d. rows from one Gaussian, drawn from
-    an already-positioned generator, so a caller can draw trial parameters
-    and observations from the same substream."""
-
-    def __init__(self, gaussian: Gaussian, rng: np.random.Generator):
-        self.gaussian = gaussian
-        self._rng = rng
-
-    @property
-    def dim(self):
-        return self.gaussian.dim
-
-    def take(self, n: int) -> np.ndarray:
-        return sample_with(self.gaussian, self._rng, n)
-
-
-class ArraySource:
-    """Finite source over the rows of a matrix; raises when exhausted."""
-
-    def __init__(self, data):
-        self.data = np.atleast_2d(np.asarray(data, dtype=float))
-        self._cursor = 0
-
-    @property
-    def dim(self):
-        return self.data.shape[1]
-
-    def take(self, n: int) -> np.ndarray:
-        end = self._cursor + n
-        if end > self.data.shape[0]:
-            raise StreamExhaustedError(
-                f"observation source exhausted: requested {n} rows at offset {self._cursor}, "
-                f"have {self.data.shape[0]}"
-            )
-        out = self.data[self._cursor:end]
-        self._cursor = end
-        return out
 
 
 def threshold_from_gamma(gamma: float, epsilon_star: float) -> float:
@@ -138,42 +80,44 @@ def threshold_from_gamma(gamma: float, epsilon_star: float) -> float:
     return math.log(gamma) + math.log(epsilon_star / (1.0 - epsilon_star))
 
 
-def _block_lengths(horizon: int, cap: int):
+def _block_lengths(horizon: int):
     """Row counts of a run's successive blocks: _FIRST_BLOCK rows, doubling
-    up to `cap`, the last block cut at the horizon."""
-    consumed, n = 0, min(_FIRST_BLOCK, cap)
+    up to _MAX_BLOCK, the last block cut at the horizon."""
+    consumed, n = 0, _FIRST_BLOCK
     while consumed < horizon:
         yield min(n, horizon - consumed)
         consumed += n
-        n = min(2 * n, cap)
+        n = min(2 * n, _MAX_BLOCK)
 
 
-def _scan_block(detector, source, n: int, carry: float) -> np.ndarray:
-    """The statistic over the next `n` rows of `source`, from `carry`.
+def statistic_blocks(detector, gaussian: Gaussian, rng: np.random.Generator, horizon: int):
+    """The statistic S_1..S_horizon of one run from the reset state, as one
+    (offset, S) per block, S holding S_{offset+1}..S_{offset+len(S)}.  Each
+    block's observations are the next rows of `gaussian` drawn from `rng`."""
+    carry, offset = 0.0, 0
+    for n in _block_lengths(horizon):
+        increments = np.asarray(detector.increments(sample_with(gaussian, rng, n)), dtype=float)
+        c = np.concatenate([[0.0], np.cumsum(increments)])
+        stats = [np.maximum(carry + c[1:], c[1:] - np.minimum.accumulate(c)[:-1])]
+        carry = max(float(stats[0][-1]), 0.0)
+        # a run suspended between blocks holds none of their arrays:
+        # calibration keeps one suspended run per trial
+        del increments, c
+        yield offset, stats.pop()
+        offset += n
 
-    Implements S_t = max(carry + C_t, C_t - min_{j<t} C_j) for the block.
-    """
-    increments = np.asarray(detector.increments(source.take(n)), dtype=float)
-    c = np.concatenate([[0.0], np.cumsum(increments)])
-    run_min = np.minimum.accumulate(c)[:-1]
-    return np.maximum(carry + c[1:], c[1:] - run_min)
 
-
-def run_until_alarm(detector, source, b: float, horizon: int, *, block: int = _DEFAULT_BLOCK) -> StoppingResult:
-    """Run the reflected CUSUM on -phi increments until alarm or horizon."""
+def run_until_alarm(detector, gaussian: Gaussian, rng: np.random.Generator, b: float, horizon: int) -> StoppingResult:
+    """Run the reflected CUSUM on -phi increments of observations drawn from
+    `gaussian` with the already-positioned `rng`, until alarm or horizon."""
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    carry = 0.0
-    consumed = 0
-    for n in _block_lengths(horizon, block):
-        stats = _scan_block(detector, source, n, carry)
+    for offset, stats in statistic_blocks(detector, gaussian, rng, horizon):
         hits = np.flatnonzero(stats >= b)
         if hits.size:
-            consumed += int(hits[0]) + 1
-            return StoppingResult(alarm_time=consumed, final_statistic=float(stats[hits[0]]), increments_consumed=consumed)
-        carry = max(float(stats[-1]), 0.0)
-        consumed += n
-    return StoppingResult(alarm_time=None, final_statistic=carry, increments_consumed=consumed)
+            t = offset + int(hits[0]) + 1
+            return StoppingResult(alarm_time=t, final_statistic=float(stats[hits[0]]), increments_consumed=t)
+    return StoppingResult(alarm_time=None, final_statistic=max(float(stats[-1]), 0.0), increments_consumed=horizon)
 
 
 class _LazyRun:
@@ -182,17 +126,14 @@ class _LazyRun:
 
     The first step with S_t >= b always sets a new running maximum, so the
     alarm time at b is the time of the first record value >= b.  The path
-    advances in `run_until_alarm`'s blocks and from the same carry, so the
-    statistic, and with it every alarm time, equals that of a fresh
-    `run_until_alarm` on the trial's stream.
+    is read from `statistic_blocks`, so the statistic, and with it every
+    alarm time, equals that of a fresh `run_until_alarm` on the trial's
+    stream.
     """
 
-    def __init__(self, detector, source, horizon: int):
-        self._detector = detector
-        self._source = source
+    def __init__(self, detector, gaussian: Gaussian, rng: np.random.Generator, horizon: int):
         self._horizon = horizon
-        self._blocks = _block_lengths(horizon, _DEFAULT_BLOCK)
-        self._carry = 0.0
+        self._blocks = statistic_blocks(detector, gaussian, rng, horizon)
         self._consumed = 0
         self._records = []  # strictly increasing record values of S_t
         self._times = []  # the step (1-based) of each record
@@ -205,15 +146,13 @@ class _LazyRun:
         return self._times[i] if i < len(self._times) else self._horizon
 
     def _extend(self):
-        n = next(self._blocks)
-        stats = _scan_block(self._detector, self._source, n, self._carry)
+        offset, stats = next(self._blocks)
         prev = self._records[-1] if self._records else -np.inf
         peaks = np.maximum(np.maximum.accumulate(stats), prev)
         new = np.flatnonzero(peaks > np.concatenate(([prev], peaks[:-1])))
         self._records.extend(stats[new].tolist())
-        self._times.extend((self._consumed + 1 + new).tolist())
-        self._carry = max(float(stats[-1]), 0.0)
-        self._consumed += n
+        self._times.extend((offset + 1 + new).tolist())
+        self._consumed = offset + len(stats)
 
 
 def certified_threshold(gamma: float, detector) -> float:
@@ -237,7 +176,7 @@ def alarm_times(detector, draw, streams, b: float, horizon: int) -> np.ndarray:
     out = np.empty(len(streams), dtype=np.int64)
     for i, stream in enumerate(streams):
         rng = stream.generator()
-        res = run_until_alarm(detector, GaussianSource(draw(rng), rng), b, horizon)
+        res = run_until_alarm(detector, draw(rng), rng, b, horizon)
         out[i] = res.alarm_time if res.alarm_time is not None else horizon + 1
     return out
 
@@ -277,7 +216,7 @@ def calibrate_threshold_mc(
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     b_theory = certified_threshold(gamma, detector)
     lo, hi = (0.1 * b_theory, 2.0 * b_theory + 10.0) if b_theory > 0 else (2.0 * b_theory - 10.0, b_theory)
-    runs = [_LazyRun(detector, GaussianSource(nu0, stream.generator()), horizon) for stream in streams]
+    runs = [_LazyRun(detector, nu0, stream.generator(), horizon) for stream in streams]
     tol = _CALIBRATION_REL_TOL * gamma
 
     def arl(b, decide=True):

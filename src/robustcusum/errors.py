@@ -44,10 +44,6 @@ class CalibrationError(RobustCusumError, RuntimeError):
         self.arl_high = arl_high
 
 
-class StreamExhaustedError(RobustCusumError, RuntimeError):
-    """A finite observation source ran out before the requested horizon."""
-
-
 class FlagError(RobustCusumError, ValueError):
     """A command-line flag's value cannot be used (an unreadable --config, an
     unwritable --out, an unknown --scenario or one the subcommand does not

@@ -612,7 +612,7 @@ def build_quadratic_detector(sol: SaddleSolution, setup0: ClassSetup, setup1: Cl
     )
 
 
-def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) -> QuadraticDetector | AffineDetector:
+def llr_detector(g0: Gaussian, g1: Gaussian) -> QuadraticDetector | AffineDetector:
     """Classic CUSUM detector for a fully specified pair: -phi(xi) is the
     log-likelihood ratio log p1(xi) - log p0(xi).
 
@@ -632,5 +632,5 @@ def llr_detector(g0: Gaussian, g1: Gaussian, epsilon_star: float | None = None) 
     h = inv0 @ g0.mean - inv1 @ g1.mean
     const = -0.5 * (quad0 - quad1) - 0.5 * (g0.log_det_covariance() - g1.log_det_covariance())
     if not big_h.any():
-        return AffineDetector(a=h, c=const, epsilon_star=epsilon_star)
-    return QuadraticDetector(H=big_h, h=h, kappa_const=const, epsilon_star=epsilon_star)
+        return AffineDetector(a=h, c=const, epsilon_star=None)
+    return QuadraticDetector(H=big_h, h=h, kappa_const=const)

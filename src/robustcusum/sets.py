@@ -198,6 +198,16 @@ class MatrixSet:
         raise NotImplementedError
 
 
+def positive_definite(mat, *, what: str) -> np.ndarray:
+    """`mat` symmetrized; ValueError unless it has a Cholesky factor."""
+    m = symmetrize(mat, what=what)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{what} must be positive definite") from None
+    return m
+
+
 @dataclass(frozen=True)
 class SingletonPSD(MatrixSet):
     """{matrix}, positive definite: the matrix is its own dominating Theta*,
@@ -206,11 +216,7 @@ class SingletonPSD(MatrixSet):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = symmetrize(self.matrix, what="matrix")
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("singleton member must be positive definite") from None
+        m = positive_definite(self.matrix, what="singleton member")
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @property
@@ -286,10 +292,7 @@ class MatrixInterval(MatrixSet):
         if not self.sigma_lo <= self.sigma_hi:
             raise ValueError("sigma range must satisfy lo <= hi")
         for s in (self.sigma_lo, self.sigma_hi):
-            try:
-                np.linalg.cholesky(b + s * v)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"interval endpoint at sigma={s} is not positive definite") from None
+            positive_definite(b + s * v, what=f"interval endpoint at sigma={s}")
         object.__setattr__(self, "base", _frozen_array(b))
         object.__setattr__(self, "direction", _frozen_array(v))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ExperimentConfig, ScenarioConfig
 from .cusum import MIN_TRIALS, alarm_times, alarm_times_gaussian, calibrate_threshold_mc, certified_threshold
-from .errors import CalibrationError, ConvergenceError, DomainError
+from .errors import DomainError, RobustCusumError
 from .gaussian import Gaussian, SeededStream, kl_divergence
 from .lfp import build_affine_detector, solve_lfp
 from .quadratic import ClassSetup, build_quadratic_detector, llr_detector, solve_saddle
@@ -247,35 +247,33 @@ class PreparedScenario:
 
 @contextlib.contextmanager
 def _failure_context(where: str):
-    """Re-raise a solver or calibration failure with `where: ` leading its
-    message, keeping the diagnostics it carries."""
+    """Re-raise any package error with `where: ` leading its message; the
+    exception keeps its type and the diagnostics it carries."""
     try:
         yield
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{where}: {exc}", last_iterate=exc.last_iterate, residual=exc.residual) from exc
-    except CalibrationError as exc:
-        raise CalibrationError(f"{where}: {exc}", arl_low=exc.arl_low, arl_high=exc.arl_high) from exc
+    except RobustCusumError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=None) -> PreparedScenario:
     (mean0, cov0), (mean1, cov1) = scen.classes
     if progress:
         progress(f"{scen.name}: solving detector")
-    if scen.kind == "mean_shift":
-        with _failure_context(scen.name):
+    with _failure_context(scen.name):
+        if scen.kind == "mean_shift":
             sol = solve_lfp(mean0, mean1, cov0, cfg.lfp_options)
-        robust = build_affine_detector(sol, cov0)
-        design_rng = None  # a mean-shift baseline draws nothing
-    else:
-        setup0 = ClassSetup(cov0, mean0)
-        setup1 = ClassSetup(cov1, mean1)
-        with _failure_context(scen.name):
+            robust = build_affine_detector(sol, cov0)
+            design_rng = None  # a mean-shift baseline draws nothing
+        else:
+            setup0 = ClassSetup(cov0, mean0)
+            setup1 = ClassSetup(cov1, mean1)
             sol = solve_saddle(setup0, setup1, cfg.saddle_options)
-        robust = build_quadratic_detector(sol, setup0, setup1)
-        design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
-    nu0_true = Gaussian(*scen.pre_law)
-    base_post = Gaussian(*scen.baseline_post(design_rng))
-    baseline = llr_detector(Gaussian(*scen.baseline_pre), base_post)
+            robust = build_quadratic_detector(sol, setup0, setup1)
+            design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
+        nu0_true = Gaussian(*scen.pre_law)
+        base_post = Gaussian(*scen.baseline_post(design_rng))
+        baseline = llr_detector(Gaussian(*scen.baseline_pre), base_post)
 
     def post_draw(rng):
         mean, cov = scen.post_law(rng)

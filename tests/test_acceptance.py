@@ -28,12 +28,11 @@ from robustcusum import (
     load_bundled_config,
     solve_lfp,
     solve_saddle,
-    step,
     threshold_from_gamma,
     verify_detector_bounds,
 )
 from robustcusum.cli import dispatch
-from robustcusum.cusum import CusumState, alarm_times_gaussian
+from robustcusum.cusum import alarm_times_gaussian, statistic_blocks
 from robustcusum.simulate import LANE_ARL, _delay_times, run_experiment, stream_id
 
 
@@ -120,16 +119,25 @@ def test_criterion_06_delay_growth_slope_bound():
     _report(6, ok, f"slope={slope:.1f} <= {bound:.1f}; delays {[round(m,1) for m in means]}; runtime {elapsed:.1f} s")
 
 
+class _Replay:
+    """Fake detector: its increments are the given values, in order, whatever
+    the observations."""
+
+    def __init__(self, increments):
+        self._next = iter(increments)
+
+    def increments(self, observations):
+        return np.fromiter(self._next, dtype=float, count=len(observations))
+
+
 def test_criterion_07_recursion_equals_brute_force():
+    # the statistic as the Monte Carlo runs evaluate it, block by block
     rng = np.random.default_rng(707)
     worst = 0.0
     for _ in range(100):
         inc = rng.normal(size=1000) * rng.uniform(0.5, 3.0)
-        state = CusumState(threshold=math.inf)
-        rec = np.empty(1000)
-        for t, x in enumerate(inc):
-            state = step(state, float(x))
-            rec[t] = state.statistic
+        blocks = statistic_blocks(_Replay(inc), Gaussian(np.zeros(1), np.eye(1)), np.random.default_rng(0), 1000)
+        rec = np.concatenate([stats for _, stats in blocks])
         # independent oracle: fresh reversed-order summation per time point
         brute = np.array([np.max(np.cumsum(inc[t::-1])) for t in range(1000)])
         worst = max(worst, float(np.max(np.abs(rec - brute))))

@@ -458,7 +458,18 @@ def test_overlapping_covariance_classes_are_refused_at_once(tmp_path, d):
     # so no detector separates them and the saddle value is exactly 0
     code, out, err = run_cli(["detector", "--config", _ball_against_identity(tmp_path, d, 1.5), "--quiet"])
     assert code == 1 and out == ""
-    assert "uncertainty sets overlap; change undetectable" in err
+    assert "error: cov_row: uncertainty sets overlap; change undetectable" in err
+
+
+def test_overlapping_mean_classes_name_their_scenario(tmp_path):
+    # an l1 ball of radius 3.5 about ones contains m0 = 0 in d = 3
+    raw = json.loads(json.dumps(MINI_CONFIG))
+    raw["scenarios"][0]["m1"]["radius"] = 3.5
+    path = tmp_path / "overlap.cfg"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(["lfp", "--config", str(path), "--quiet"])
+    assert code == 1 and out == ""
+    assert "error: mean_row: uncertainty sets overlap; change undetectable" in err
 
 
 def test_nearly_overlapping_covariance_classes_still_solve(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,37 @@ def test_interval_endpoint_pd_failure_is_a_violation():
     }
     with pytest.raises(ConfigError, match="positive definite"):
         parse_config(json.dumps(doc))
+
+
+EVERY_BRANCH_CONFIG = Path(__file__).resolve().parent / "data" / "every_branch.cfg"
+SINGULAR = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "scenario, keys, value",
+    [
+        (0, ("sigma",), [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        (2, ("true_pre_cov",), SINGULAR),
+        (1, ("baseline", "pre_cov"), SINGULAR),
+        (1, ("true_post_cov", "value"), SINGULAR),
+        (2, ("baseline", "post_cov", "value"), SINGULAR),
+        (1, ("baseline", "post_cov", "sigma"), -5),
+    ],
+    ids=["sigma", "true_pre_cov", "baseline-pre_cov", "fixed-true_post_cov", "fixed-baseline-post_cov", "interval_point"],
+)
+def test_covariance_not_positive_definite_is_a_violation_naming_its_path(scenario, keys, value):
+    # each payload becomes a Gaussian's covariance; the document is checked
+    # at parse, before any command uses it
+    doc = json.loads(EVERY_BRANCH_CONFIG.read_text(encoding="utf-8"))
+    target = doc["scenarios"][scenario]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    [violation] = exc.value.violations
+    path = f"scenarios[{scenario}]." + ".".join(keys)
+    assert violation.startswith(f"{path}: ") and violation.endswith(" must be positive definite")
 
 
 def test_uniform_sigma_requires_interval_set():

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustcusum import (
-    ArraySource,
     CalibrationError,
-    CusumState,
     DomainError,
     Gaussian,
-    GaussianSource,
     SeededStream,
-    StreamExhaustedError,
     calibrate_threshold_mc,
     run_until_alarm,
-    step,
     threshold_from_gamma,
 )
-from robustcusum.cusum import _CALIBRATION_REL_TOL, _MAX_BISECTIONS, _LazyRun, alarm_times_gaussian, certified_threshold
+from robustcusum.cusum import (
+    _CALIBRATION_REL_TOL,
+    _MAX_BISECTIONS,
+    _LazyRun,
+    alarm_times_gaussian,
+    certified_threshold,
+    statistic_blocks,
+)
 from robustcusum.lfp import AffineDetector
 from robustcusum.quadratic import llr_detector
 
@@ -34,6 +36,30 @@ class ConstantDetector:
         return np.full(len(np.atleast_2d(observations)), self.increment, dtype=float)
 
 
+class Replay:
+    """Fake detector: its increments are `increments`, in order, whatever the
+    observations; it raises when they run out."""
+
+    epsilon_star = None
+
+    def __init__(self, increments):
+        self._next = iter(increments)
+
+    def increments(self, observations):
+        return np.fromiter(self._next, dtype=float, count=len(observations))
+
+
+# the law a replayed or constant detector's observations are drawn from;
+# those detectors ignore the draws
+STANDARD_1D = Gaussian(np.zeros(1), np.eye(1))
+
+
+def scanned_path(increments):
+    """S_1..S_n as `statistic_blocks` evaluates it on replayed increments."""
+    blocks = statistic_blocks(Replay(increments), STANDARD_1D, np.random.default_rng(0), len(increments))
+    return np.concatenate([stats for _, stats in blocks])
+
+
 def calibration_streams(seed, trials):
     """Trial streams on the calibration lane of scenario 0."""
     return [SeededStream(seed, (3 << 40) | t) for t in range(trials)]
@@ -45,37 +71,18 @@ def brute_force_stat(increments, t):
     return float(np.max(tail))
 
 
-def test_step_examples():
-    s = CusumState(threshold=100.0, statistic=3.0, time=5)
-    s2 = step(s, -0.5)
-    assert s2.statistic == pytest.approx(2.5) and s2.time == 6 and not s2.alarmed
-    s3 = step(CusumState(threshold=100.0, statistic=-1.2, time=1), 0.2)
-    assert s3.statistic == pytest.approx(0.2)  # reset at zero before adding
-
-
-def test_step_alarm_absorbing():
-    s = step(CusumState(threshold=1.0), 2.0)
-    assert s.alarmed
-    with pytest.raises(DomainError, match="alarmed"):
-        step(s, 0.1)
-
-
 def test_recursion_matches_brute_force():
     rng = np.random.default_rng(123)
     inc = rng.normal(size=1000)
-    s = CusumState(threshold=math.inf)
-    for t, x in enumerate(inc):
-        s = step(s, float(x))
-        assert abs(s.statistic - brute_force_stat(inc, t)) <= 1e-12
+    for t, stat in enumerate(scanned_path(inc)):
+        assert abs(stat - brute_force_stat(inc, t)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=120))
 def test_recursion_matches_brute_force_property(incs):
-    s = CusumState(threshold=math.inf)
-    for t, x in enumerate(incs):
-        s = step(s, x)
-        assert abs(s.statistic - brute_force_stat(np.array(incs), t)) <= 1e-9 * max(1.0, abs(s.statistic))
+    for t, stat in enumerate(scanned_path(incs)):
+        assert abs(stat - brute_force_stat(np.array(incs), t)) <= 1e-9 * max(1.0, abs(stat))
 
 
 def test_threshold_examples():
@@ -94,68 +101,50 @@ def test_threshold_rejects_undetectable_and_bad_gamma():
         threshold_from_gamma(1.0, 0.5)
 
 
+# blocks end at steps 16, 48, 112, ...: these horizons put the last step of a
+# run at, just before and just after the first two block edges
+BLOCK_EDGE_HORIZONS = (15, 16, 17, 48, 49)
+
+
 def test_run_until_alarm_deterministic_ramp():
-    res = run_until_alarm(ConstantDetector(1.0), ArraySource(np.zeros((50, 1))), 10.0, 50)
-    assert res.alarm_time == 10 and not res.censored
-    assert res.final_statistic == pytest.approx(10.0)
+    # S_t = t, so the alarm falls at step b, here on or before the horizon
+    for b, horizon in [(10.0, 50)] + [(float(h), h) for h in BLOCK_EDGE_HORIZONS]:
+        res = run_until_alarm(ConstantDetector(1.0), STANDARD_1D, np.random.default_rng(0), b, horizon)
+        assert res.alarm_time == b and not res.censored
+        assert res.final_statistic == pytest.approx(b)
 
 
 def test_run_until_alarm_censors():
-    res = run_until_alarm(ConstantDetector(-1.0), ArraySource(np.zeros((30, 1))), 10.0, 30)
-    assert res.censored and res.alarm_time is None and res.increments_consumed == 30
-
-
-def test_run_until_alarm_stream_exhaustion():
-    with pytest.raises(StreamExhaustedError):
-        run_until_alarm(ConstantDetector(-1.0), ArraySource(np.zeros((5, 1))), 10.0, 50)
+    # the ramps alarm one step past the horizon
+    for increment, b, horizon in [(-1.0, 10.0, 30)] + [(1.0, float(h + 1), h) for h in BLOCK_EDGE_HORIZONS]:
+        res = run_until_alarm(ConstantDetector(increment), STANDARD_1D, np.random.default_rng(0), b, horizon)
+        assert res.censored and res.alarm_time is None and res.increments_consumed == horizon
 
 
 def test_run_until_alarm_seeded_determinism():
     det = AffineDetector(a=np.array([-0.5, 0.2]), c=-0.05, epsilon_star=0.9)
     g = Gaussian(np.zeros(2), np.eye(2))
-    r1 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1).generator()), 3.0, 10_000)
-    r2 = run_until_alarm(det, GaussianSource(g, SeededStream(9, 1).generator()), 3.0, 10_000)
+    r1 = run_until_alarm(det, g, SeededStream(9, 1).generator(), 3.0, 10_000)
+    r2 = run_until_alarm(det, g, SeededStream(9, 1).generator(), 3.0, 10_000)
     assert r1.alarm_time == r2.alarm_time
 
 
 def test_block_runner_matches_stepwise_loop():
+    # the alarm is the oracle statistic's first passage over b
     rng = np.random.default_rng(77)
     for b in (0.5, 2.0, 5.0):
         inc = rng.normal(loc=0.05, scale=1.0, size=3000)
-
-        class Replay:
-            epsilon_star = None
-
-            def increments(self, observations):
-                idx = np.asarray(observations, dtype=int).ravel()
-                return inc[idx]
-
-        src = ArraySource(np.arange(3000.0)[:, None])
-        fast = run_until_alarm(Replay(), src, b, 3000, block=64)
-        s = CusumState(threshold=b)
-        slow = None
-        for t, x in enumerate(inc):
-            s = step(s, float(x))
-            if s.alarmed:
-                slow = t + 1
-                break
+        fast = run_until_alarm(Replay(inc), STANDARD_1D, np.random.default_rng(0), b, 3000)
+        slow = next((t + 1 for t in range(len(inc)) if brute_force_stat(inc, t) >= b), None)
         assert fast.alarm_time == slow
 
 
 def test_alarm_time_monotone_in_threshold():
     rng = np.random.default_rng(5)
     inc = rng.normal(loc=0.2, size=2000)
-
-    class Replay:
-        epsilon_star = None
-
-        def increments(self, observations):
-            idx = np.asarray(observations, dtype=int).ravel()
-            return inc[idx]
-
     prev = 0
     for b in (0.5, 1.0, 2.0, 4.0, 8.0):
-        res = run_until_alarm(Replay(), ArraySource(np.arange(2000.0)[:, None]), b, 2000)
+        res = run_until_alarm(Replay(inc), STANDARD_1D, np.random.default_rng(0), b, 2000)
         assert res.alarm_time >= prev
         prev = res.alarm_time
 
@@ -277,9 +266,9 @@ def test_lazy_run_lengths_match_run_until_alarm():
     nu0 = Gaussian(np.zeros(2), np.eye(2))
     thresholds = np.random.default_rng(4).permutation(np.linspace(-1.0, 12.0, 27))
     for stream in calibration_streams(11, 40):
-        run = _LazyRun(det, GaussianSource(nu0, stream.generator()), horizon)
+        run = _LazyRun(det, nu0, stream.generator(), horizon)
         for b in thresholds:
-            res = run_until_alarm(det, GaussianSource(nu0, stream.generator()), b, horizon)
+            res = run_until_alarm(det, nu0, stream.generator(), b, horizon)
             assert run.run_length(b) == (horizon if res.alarm_time is None else res.alarm_time)
 
 
