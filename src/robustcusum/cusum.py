@@ -6,15 +6,19 @@ max-form statistic max_{1<=k<=t} sum_{i=k}^t increment_i (verified against a
 brute-force oracle in the test suite, not assumed).
 
 One generator, `statistic_blocks`, evaluates the statistic.  It draws a
-run's observations block by block and evaluates each block with cumulative
+run's increments block by block and evaluates each block with cumulative
 sums and running minima, so long horizons cost O(horizon) numpy work
 instead of a Python loop per step:
 
     S_t = max(s0 + C_t, C_t - min_{0<=j<=t-1} C_j),   C_0 = 0, s0 = max(S_prev, 0)
 
-Blocks start at 16 rows and double up to 1,024, so a run that alarms early
-draws few rows it never scans.  Philox yields the same normals however a
-request is split, so the block sizes do not change the observations.
+An affine detector's increment -phi(x) = -(a'x + c) under N(m, LL') is
+itself the normal N(-(a'm + c), |L'a|^2) on the line, so its runs draw one
+normal per step from that law; any other detector's runs draw d-dimensional
+observation rows and evaluate them.  Blocks start at 16 rows and double up
+to 1,024, so a run that alarms early draws few rows it never scans.  Philox
+yields the same normals however a request is split, so on either route the
+block sizes do not change the increments.
 `run_until_alarm` reads the blocks up to the first alarm; calibration's
 `_LazyRun` reads them as far as the thresholds it is asked about need.
 
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import CalibrationError, DomainError
 from .gaussian import Gaussian, sample_with
 
-# a run's first observation block; later blocks double up to _MAX_BLOCK
+# a run's first block of draws; later blocks double up to _MAX_BLOCK
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
 
@@ -93,10 +97,17 @@ def _block_lengths(horizon: int):
 def statistic_blocks(detector, gaussian: Gaussian, rng: np.random.Generator, horizon: int):
     """The statistic S_1..S_horizon of one run from the reset state, as one
     (offset, S) per block, S holding S_{offset+1}..S_{offset+len(S)}.  Each
-    block's observations are the next rows of `gaussian` drawn from `rng`."""
+    block's increments come from the next draws of `rng`: a detector with an
+    `increment_law` samples that law on the line, any other evaluates the
+    next observation rows of `gaussian`."""
+    law = getattr(detector, "increment_law", None)
+    line = None if law is None else law(gaussian)
     carry, offset = 0.0, 0
     for n in _block_lengths(horizon):
-        increments = np.asarray(detector.increments(sample_with(gaussian, rng, n)), dtype=float)
+        if line is None:
+            increments = np.asarray(detector.increments(sample_with(gaussian, rng, n)), dtype=float)
+        else:
+            increments = sample_with(line, rng, n)[:, 0]
         c = np.concatenate([[0.0], np.cumsum(increments)])
         stats = [np.maximum(carry + c[1:], c[1:] - np.minimum.accumulate(c)[:-1])]
         carry = max(float(stats[0][-1]), 0.0)
@@ -108,8 +119,8 @@ def statistic_blocks(detector, gaussian: Gaussian, rng: np.random.Generator, hor
 
 
 def run_until_alarm(detector, gaussian: Gaussian, rng: np.random.Generator, b: float, horizon: int) -> StoppingResult:
-    """Run the reflected CUSUM on -phi increments of observations drawn from
-    `gaussian` with the already-positioned `rng`, until alarm or horizon."""
+    """Run the reflected CUSUM on -phi increments under `gaussian`, drawn with
+    the already-positioned `rng`, until alarm or horizon."""
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     for offset, stats in statistic_blocks(detector, gaussian, rng, horizon):
@@ -117,7 +128,7 @@ def run_until_alarm(detector, gaussian: Gaussian, rng: np.random.Generator, b: f
         if hits.size:
             t = offset + int(hits[0]) + 1
             return StoppingResult(alarm_time=t, final_statistic=float(stats[hits[0]]), increments_consumed=t)
-    return StoppingResult(alarm_time=None, final_statistic=max(float(stats[-1]), 0.0), increments_consumed=horizon)
+    return StoppingResult(alarm_time=None, final_statistic=float(stats[-1]), increments_consumed=horizon)
 
 
 class _LazyRun:
@@ -168,8 +179,8 @@ def alarm_times(detector, draw, streams, b: float, horizon: int) -> np.ndarray:
     """Alarm time per trial stream (horizon + 1 marks a censored run).
 
     Trial i runs on `streams[i].generator()`.  `draw(rng) -> Gaussian` may
-    consume that generator before the observations do, so a trial's
-    parameter draw and its sample path share one substream.  Trials run in
+    consume that generator before the path does, so a trial's parameter
+    draw and its sample path share one substream.  Trials run in
     order on the calling thread.
     """
     streams = list(streams)

@@ -133,6 +133,18 @@ def sample_with(g: Gaussian, rng: np.random.Generator, n: int) -> np.ndarray:
     return z @ g.factor.T + g.mean
 
 
+def scalar_normal(mean: float, sd: float) -> Gaussian:
+    """N(mean, sd^2) on the line, with `sd` as its factor (sd >= 0).  No
+    Cholesky runs, and sd = 0 is the point mass at `mean`, which `sample_with`
+    draws as such."""
+    out = object.__new__(Gaussian)
+    for name, value in (("mean", [mean]), ("covariance", [[sd * sd]]), ("factor", [[sd]])):
+        arr = np.array(value, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(out, name, arr)
+    return out
+
+
 def exp_quadratic_moment(g: Gaussian, big_a: np.ndarray, a: np.ndarray, c: float) -> float:
     """E exp(x'Ax/2 + a'x + c) for x ~ g, in closed form; +inf where it diverges.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .gaussian import Gaussian, exp_quadratic_moment, mahalanobis_sq, symmetrize
+from .gaussian import Gaussian, exp_quadratic_moment, mahalanobis_sq, scalar_normal, symmetrize
 from .sets import VectorSet
 
 # Below this Mahalanobis gap the two uncertainty sets are treated as
@@ -134,6 +134,12 @@ class AffineDetector:
         """-phi row-wise: the CUSUM increment for each observation."""
         x = np.atleast_2d(np.asarray(observations, dtype=float))
         return -(x @ self.a) - self.c
+
+    def increment_law(self, g: Gaussian) -> Gaussian:
+        """The law of the increment -phi(xi) for xi ~ g = N(m, LL'): the
+        normal N(-(a'm + c), |L'a|^2) on the line."""
+        spread = self.a @ g.factor
+        return scalar_normal(-(float(self.a @ g.mean) + self.c), math.sqrt(float(spread @ spread)))
 
     def moment(self, g: Gaussian, sign: float) -> float:
         """E[exp(sign * phi(xi))] for xi ~ g, in closed form."""

@@ -66,6 +66,9 @@ _DOMAIN_MARGIN = 1e-9
 _DOMINATION_TOL = 1e-9
 # sigma grid over which an interval's delta is maximized; endpoints included
 _INTERVAL_DELTA_GRID = 17
+# golden-section steps of the interval-in-ball overlap search: the bracket
+# shrinks by 0.618**64, about 4e-14 of the sigma range
+_GOLDEN_STEPS = 64
 
 # saddle solver: outer iterations between certificates (one more is taken
 # after iteration 1), steps per fixed-Theta inner minimization, the inner
@@ -437,17 +440,49 @@ class _SaddleProblem:
         return val, h, big_h, bound
 
 
+def _interval_meets_ball(interval: MatrixInterval, ball: SpectralBall) -> bool:
+    """Whether a member of the interval lies in the ball.  Every member is
+    positive definite (lambda_min is concave in sigma and positive at both
+    endpoints), so only lambda_max(B + sigma V) can leave the ball; it is
+    convex in sigma, and golden-section search brackets its minimum.  Only a
+    witness the ball contains answers yes."""
+    def lam_max(sigma):
+        return float(np.linalg.eigvalsh(interval.member(sigma))[-1])
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = interval.sigma_lo, interval.sigma_hi
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = lam_max(a), lam_max(b)
+    for _ in range(_GOLDEN_STEPS):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = lam_max(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = lam_max(b)
+    return ball.contains(interval.member(0.5 * (lo + hi)))
+
+
 def _classes_overlap(setup0: ClassSetup, setup1: ClassSetup) -> bool:
     """Whether the classes provably share a Gaussian law, where sv = 0 exactly
     and the solver never closes its gap: equal means, and a singleton the
-    other set contains or two spectral balls (both hold eps * I).  Two equal
-    singletons stay with the solver, which certifies sv = 0 at once."""
+    other set contains, two spectral balls (both hold eps * I), or an
+    interval with a member in a spectral ball.  Two equal singletons stay
+    with the solver, which certifies sv = 0 at once; two intervals stay with
+    it too."""
     u0, u1 = setup0.uset, setup1.uset
     if not np.array_equal(setup0.mean, setup1.mean) or type(u0) is type(u1) is SingletonPSD:
         return False
     if type(u0) is type(u1) is SpectralBall:
         return True
-    return any(isinstance(a, SingletonPSD) and b.contains(a.matrix) for a, b in ((u0, u1), (u1, u0)))
+    for a, b in ((u0, u1), (u1, u0)):
+        if isinstance(a, SingletonPSD) and b.contains(a.matrix):
+            return True
+        if isinstance(a, MatrixInterval) and isinstance(b, SpectralBall) and _interval_meets_ball(a, b):
+            return True
+    return False
 
 
 def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | None = None) -> SaddleSolution:

@@ -10,8 +10,11 @@ post-change observations from time 1.
 Stream discipline: every Monte Carlo trial owns one substream, with the id
 composed as (scenario_index << 48) | (lane << 40) | trial.  Lanes separate
 ARL runs, delay runs, calibration, the class members a bound audit checks and
-design-time draws, so no two uses ever share a stream.  The audit itself
-draws nothing: each member's moment is exact.
+design-time draws, so no two uses ever share a stream.  A trial first
+draws its law's parameters, if any, then its path: an affine detector's
+path is its increments' normals, one per step; a quadratic detector's is
+its d-dimensional observations.  The audit itself draws nothing: each
+member's moment is exact.
 This module is the only one that composes stream ids.
 """
 

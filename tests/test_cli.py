@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -472,6 +473,26 @@ def test_overlapping_mean_classes_name_their_scenario(tmp_path):
     assert "error: mean_row: uncertainty sets overlap; change undetectable" in err
 
 
+def test_interval_overlapping_a_ball_is_refused_at_once(tmp_path):
+    # I + sigma V for sigma in [0.5, 1] has lambda_max at most 1.53, inside
+    # the radius-3 ball: both classes hold that law.  The saddle solver would
+    # run its 20,000 iterations (about 6 s) before giving up
+    interval = {"variant": "interval", "base": "identity", "direction": "squared_exp_offdiag", "sigma_range": [0.5, 1.0]}
+    scenario = {
+        **MINI_CONFIG["scenarios"][1],
+        "u0": interval,
+        "u1": {"variant": "spectral_ball", "radius": 3.0},
+        "true_pre_cov": "identity",
+    }
+    path = tmp_path / "interval.cfg"
+    path.write_text(json.dumps({**MINI_CONFIG, "threshold_mode": "theoretical", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["detector", "--config", str(path), "--quiet"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "error: cov_row: uncertainty sets overlap; change undetectable" in err
+
+
 def test_nearly_overlapping_covariance_classes_still_solve(tmp_path):
     code, out, err = run_cli(["detector", "--config", _ball_against_identity(tmp_path, 3, 0.99), "--quiet"])
     assert code == 0, err
@@ -526,11 +547,11 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
     [
         (
             ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "1"],
-            "a64e175508c30a1f37bce9033e11d92a323c96b9f214d4d0ab0229a2f164f0aa",
+            "9f3fc72993fac63a40e37cdc87ac59cf43b608ce95df066c7ef79f76bc0f54a5",
         ),
         (
             ["experiment", "--config", EVERY_BRANCH_CONFIG, "--threads", "2"],
-            "a64e175508c30a1f37bce9033e11d92a323c96b9f214d4d0ab0229a2f164f0aa",
+            "9f3fc72993fac63a40e37cdc87ac59cf43b608ce95df066c7ef79f76bc0f54a5",
         ),
         (
             ["verify", "--config", EVERY_BRANCH_CONFIG],
@@ -551,7 +572,7 @@ EVERY_BRANCH_CONFIG = str(Path(__file__).resolve().parent / "data" / "every_bran
         # the only byte pin of the calibration path above d=3
         (
             ["experiment", "--config", "table1_desk.cfg"],
-            "b7aa04e28529a18c3a644bcc108c7dfee50fef9a89b989d4d256a683265ec395",
+            "fead8aa1d52c0c11c14b322ec50e17bc705faf0b9d831b89ffde5c18197c26b1",
         ),
     ],
     ids=["experiment-threads-1", "experiment-threads-2", "verify", "detector", "desk-detector", "desk-experiment"],

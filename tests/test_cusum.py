@@ -21,6 +21,7 @@ from robustcusum.cusum import (
     certified_threshold,
     statistic_blocks,
 )
+from robustcusum.gaussian import sample_with
 from robustcusum.lfp import AffineDetector
 from robustcusum.quadratic import llr_detector
 
@@ -115,10 +116,12 @@ def test_run_until_alarm_deterministic_ramp():
 
 
 def test_run_until_alarm_censors():
-    # the ramps alarm one step past the horizon
+    # the ramps alarm one step past the horizon; a censored run reports
+    # S_horizon itself: -1 for the falling ramp, whose S_t resets to -1 each step
     for increment, b, horizon in [(-1.0, 10.0, 30)] + [(1.0, float(h + 1), h) for h in BLOCK_EDGE_HORIZONS]:
         res = run_until_alarm(ConstantDetector(increment), STANDARD_1D, np.random.default_rng(0), b, horizon)
         assert res.censored and res.alarm_time is None and res.increments_consumed == horizon
+        assert res.final_statistic == (-1.0 if increment < 0 else float(horizon))
 
 
 def test_run_until_alarm_seeded_determinism():
@@ -127,6 +130,71 @@ def test_run_until_alarm_seeded_determinism():
     r1 = run_until_alarm(det, g, SeededStream(9, 1).generator(), 3.0, 10_000)
     r2 = run_until_alarm(det, g, SeededStream(9, 1).generator(), 3.0, 10_000)
     assert r1.alarm_time == r2.alarm_time
+
+
+def _affine_under_correlated_law(d, seed):
+    """A random affine detector and a law N(m, Sigma) with a non-identity,
+    correlated Sigma, in dimension d."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(d, d))
+    sigma = root @ root.T / d + 0.5 * np.eye(d)
+    det = AffineDetector(a=rng.normal(size=d), c=float(rng.normal()), epsilon_star=None)
+    return det, Gaussian(rng.normal(size=d), sigma)
+
+
+@pytest.mark.parametrize("d", [1, 10, 30])
+def test_affine_increments_follow_their_scalar_law(d):
+    # 10^5 draws of the law a run samples (the next test holds a run to those
+    # draws) against -(a'm + c) and a' Sigma a (= |L'a|^2), computed from
+    # Sigma itself.  The sample mean's SE is sd/sqrt(n), the sample
+    # variance's var*sqrt(2/(n-1)); both bounds are 5 SE
+    n = 100_000
+    det, g = _affine_under_correlated_law(d, seed=d)
+    mean, var = -(float(det.a @ g.mean) + det.c), float(det.a @ g.covariance @ det.a)
+    inc = sample_with(det.increment_law(g), SeededStream(23, d).generator(), n)[:, 0]
+    assert abs(float(np.mean(inc)) - mean) <= 5.0 * math.sqrt(var / n)
+    assert abs(float(np.var(inc, ddof=1)) - var) <= 5.0 * var * math.sqrt(2.0 / (n - 1))
+
+
+def _path(detector, g, stream, horizon):
+    return np.concatenate([stats for _, stats in statistic_blocks(detector, g, stream.generator(), horizon)])
+
+
+@pytest.mark.parametrize("horizon", BLOCK_EDGE_HORIZONS)
+def test_affine_run_draws_one_normal_per_step_however_blocks_split(horizon):
+    # the run's path equals a replay of `horizon` increments drawn in one call,
+    # and the prefix of a longer run; the run leaves the generator exactly
+    # `horizon` normals on
+    det, g = _affine_under_correlated_law(10, seed=4)
+    stream = SeededStream(31, horizon)
+    law = det.increment_law(g)
+    one_call = sample_with(law, stream.generator(), horizon)[:, 0]
+    path = _path(det, g, stream, horizon)
+    assert np.array_equal(path, _path(Replay(one_call), STANDARD_1D, stream, horizon))
+    assert np.array_equal(path, _path(det, g, stream, 200)[:horizon])
+    rng = stream.generator()
+    for _ in statistic_blocks(det, g, rng, horizon):
+        pass
+    assert rng.standard_normal() == stream.generator().standard_normal(horizon + 1)[-1]
+
+
+def test_quadratic_run_draws_observation_rows():
+    # a quadratic detector's alarms are those of its increments on d-dimensional
+    # rows drawn in one call, and a run scanned to its horizon leaves the
+    # generator d normals per step on
+    g = Gaussian(np.zeros(3), np.eye(3) + 0.3 * np.ones((3, 3)))
+    det = llr_detector(g, Gaussian(np.zeros(3), 1.8 * g.covariance))
+    streams = [SeededStream(41, t) for t in range(60)]
+    b, horizon = 4.0, 300
+    times = alarm_times_gaussian(det, g, streams, b, horizon)
+    rows = [det.increments(sample_with(g, s.generator(), horizon)) for s in streams]
+    oracle = [run_until_alarm(Replay(inc), STANDARD_1D, np.random.default_rng(0), b, horizon).alarm_time for inc in rows]
+    assert times.tolist() == [horizon + 1 if t is None else t for t in oracle]
+    assert (times > horizon).any() and (times <= horizon).any()
+    rng = streams[0].generator()
+    for _ in statistic_blocks(det, g, rng, 50):
+        pass
+    assert rng.standard_normal() == streams[0].generator().standard_normal(3 * 50 + 1)[-1]
 
 
 def test_block_runner_matches_stepwise_loop():

@@ -328,12 +328,50 @@ def test_saddle_rejects_bad_beta_and_dims():
         (SpectralBall(2.0, 3), SingletonPSD(np.diag([1.0, 2.0, 0.5]))),
         (SpectralBall(0.1, 3), SpectralBall(0.5, 3)),
         (SingletonPSD(np.eye(3)), MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), -0.2, 0.3)),
+        (MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), 0.5, 1.0), SpectralBall(3.0, 3)),
     ],
-    ids=["singleton-in-ball", "ball-holds-singleton", "two-balls", "singleton-in-interval"],
+    ids=["singleton-in-ball", "ball-holds-singleton", "two-balls", "singleton-in-interval", "interval-in-ball"],
 )
 def test_saddle_refuses_overlapping_classes(u0, u1):
     with pytest.raises(DomainError, match="uncertainty sets overlap; change undetectable"):
         solve_saddle(ClassSetup(u0, np.zeros(3)), ClassSetup(u1, np.zeros(3)))
+
+
+def _interval_ball_pair(radius_offset):
+    """An interval whose largest eigenvalue is least inside its sigma range
+    (indefinite direction), against a ball whose radius is that least value
+    plus `radius_offset`, found by scipy's bounded search.  Equal means."""
+    base, direction = np.diag([2.0, 1.0, 1.2]), np.diag([1.0, -1.0, 0.0]) + 0.1 * squared_exp_offdiagonal(3)
+    interval = MatrixInterval(base, direction, -0.9, 0.9)
+    least = minimize_scalar(
+        lambda s: np.linalg.eigvalsh(interval.member(s))[-1], bounds=(-0.9, 0.9), method="bounded", options={"xatol": 1e-12}
+    )
+    assert -0.8 < least.x < 0.8  # the least lambda_max is inside the range, not at an end
+    return ClassSetup(interval, np.zeros(3)), ClassSetup(SpectralBall(least.fun + radius_offset, 3), np.zeros(3))
+
+
+def test_interval_against_ball_is_refused_only_on_a_witness():
+    # a ball just wider than the interval's least lambda_max holds that member
+    # (either class order); one just narrower holds none, and the solver runs
+    for offset, refused in ((1e-6, True), (-1e-6, False)):
+        s0, s1 = _interval_ball_pair(offset)
+        for pair in ((s0, s1), (s1, s0)):
+            if refused:
+                with pytest.raises(DomainError, match="uncertainty sets overlap; change undetectable"):
+                    solve_saddle(*pair)
+            else:
+                with pytest.raises(ConvergenceError):
+                    solve_saddle(*pair, opts=SaddleOptions(max_iters=1))
+
+
+def test_overlapping_intervals_stay_with_the_solver():
+    # interval pairs are not searched for overlap; these two share the members
+    # sigma in [0.8, 1], and the solver certifies sv = 0 after one iteration
+    v = squared_exp_offdiagonal(3)
+    s0 = ClassSetup(MatrixInterval(np.eye(3), v, 0.5, 1.0), np.zeros(3))
+    s1 = ClassSetup(MatrixInterval(np.eye(3), v, 0.8, 1.2), np.zeros(3))
+    sol = solve_saddle(s0, s1)
+    assert sol.sv == 0.0 and sol.gap <= 1e-4 and sol.iterations <= 1
 
 
 def test_saddle_two_balls_with_different_means_solve():
