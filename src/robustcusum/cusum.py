@@ -167,12 +167,13 @@ class _LazyRun:
 
 
 def certified_threshold(gamma: float, detector) -> float:
-    """The certified threshold when the detector carries eps* in (0, 1), else
-    log(gamma), the classic CUSUM guideline for a fully specified pair."""
+    """The certified threshold when the detector carries eps*, else
+    log(gamma), the classic CUSUM guideline for a fully specified pair.  An
+    eps* outside (0, 1) raises (threshold_from_gamma)."""
     eps = getattr(detector, "epsilon_star", None)
-    if eps is not None and 0.0 < eps < 1.0:
-        return threshold_from_gamma(gamma, eps)
-    return math.log(gamma)
+    if eps is None:
+        return math.log(gamma)
+    return threshold_from_gamma(gamma, eps)
 
 
 def alarm_times(detector, draw, streams, b: float, horizon: int) -> np.ndarray:

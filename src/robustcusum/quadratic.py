@@ -14,9 +14,10 @@ refused before the first iteration.
 Structure of the saddle problem exploited here:
 
 * The Theta-dependence of the bounding function is linear (only the term
-  Tr((Theta - Theta*) A) / 2), so the inner maximization is an exact support
-  function call on the covariance uncertainty set and the outer problem is a
-  plain convex minimization of the resulting max-function g(h, H).
+  Tr((Theta - Theta*) A) / 2), so the maximization over Theta is an exact
+  support function call on the covariance uncertainty set.  It gives the
+  max-form objective g(h, H), whose value at any feasible (h, H) bounds the
+  saddle value from above.
 * (h, H) is constrained only through H: eigenvalues of the whitened matrix
   Theta*^{1/2} H Theta*^{1/2} must lie in [-beta, beta] for each class.
   Projection is eigenvalue clipping in each whitened basis, alternated
@@ -30,24 +31,28 @@ Structure of the saddle problem exploited here:
   (Theta0, Theta1), the reduced objective G(H) = min_h F(h, H) is convex and
   G(H) + min_{H' feasible} <grad, H' - H> lower-bounds the saddle value.
 
-The outer loop is projected subgradient descent with Polyak steps driven by
-the best certified lower bound, with iterate and inner-maximizer averaging.
-Certificates are taken at iteration 0, after iteration 1 and then every
-_CHECK_EVERY iterations, until the duality gap passes the requested
-tolerance.  Iteration 0's certificate rarely closes the gap: at H = 0 the
-linear Theta term vanishes, every member of each set ties, and the support
-function returns an arbitrary one (the spectral ball returns Theta = 0, where
-the optimum needs radius * I).  Its inner solution's maximizing Thetas are
-the informative ones; the certificate after iteration 1 solves at them and,
-on every shipped scenario, closes the gap.  Each certificate solves the
-fixed-Theta problem at the best Thetas, then at the averaged ones (skipped
-when the two coincide or the gap is already closed), by projected gradient,
-which stops once its accepted steps only move the value's last digits: near
-the spectral-norm kink (delta > 0) it otherwise zig-zags for thousands of
-steps without improving the bound.  Every trial H of that inner loop is
-whitened and eigendecomposed once per class, and the exact h-solve and the
-objective share the result; class 1's decomposition is the projection's own
-whenever its last clip left H unchanged.
+The outer loop is Frank-Wolfe on (Theta0, Theta1) (Frank & Wolfe 1956;
+Jaggi 2013).  The objective is linear in Theta, so psi(Theta) = min over
+(h, H) is concave, and its linear oracle is the sets' support function.
+Iteration k minimizes at fixed Thetas; the certified bound of that inner
+solve lower-bounds the saddle value, and the max-form value at its minimizer
+is an upper bound whose maximizing Thetas are the oracle's vertex.  Their
+difference is the Frank-Wolfe gap and the duality gap at once.  Until it
+passes the requested tolerance, the Thetas step toward the vertex with
+gamma = 2 / (k + 2), and the next inner solve starts from this H.  Iteration
+0 solves at the Thetas maximizing at H = 0, where the linear Theta term
+vanishes, every member of each set ties and the support function returns an
+arbitrary one (the spectral ball returns Theta = 0, where the optimum needs
+radius * I).  Its step has gamma = 1, so iteration 1 solves at its
+minimizer's maximizing Thetas and, on every shipped scenario, closes the gap.
+
+Each inner minimization is projected gradient, which stops once its accepted
+steps only move the value's last digits: near the spectral-norm kink
+(delta > 0) it otherwise zig-zags for thousands of steps without improving
+the bound.  Every trial H of that inner loop is whitened and eigendecomposed
+once per class, and the exact h-solve and the objective share the result;
+class 1's decomposition is the projection's own whenever its last clip left
+H unchanged.
 """
 
 from __future__ import annotations
@@ -70,12 +75,10 @@ _INTERVAL_DELTA_GRID = 17
 # shrinks by 0.618**64, about 4e-14 of the sigma range
 _GOLDEN_STEPS = 64
 
-# saddle solver: outer iterations between certificates (one more is taken
-# after iteration 1), steps per fixed-Theta inner minimization, the inner
+# saddle solver: steps per fixed-Theta inner minimization, the inner
 # stagnation exit (that many accepted steps in a row, each lowering the value
 # by at most _INNER_STALL_TOL * (1 + |value|)), cyclic-projection sweeps and
 # their stopping tolerance
-_CHECK_EVERY = 250
 _INNER_MAX_ITERS = 4_000
 _INNER_STALL_STEPS = 20
 _INNER_STALL_TOL = 1e-8
@@ -304,7 +307,7 @@ def project_feasible(big_h, setups, beta):
 @dataclass(frozen=True)
 class SaddleOptions:
     gap_tol: float = 1e-4
-    max_iters: int = 20_000
+    max_iters: int = 1_000
     beta: float = 0.99  # whitened spectral bound on the detector matrix, in (0, 1)
 
 
@@ -467,11 +470,11 @@ def _interval_meets_ball(interval: MatrixInterval, ball: SpectralBall) -> bool:
 
 def _classes_overlap(setup0: ClassSetup, setup1: ClassSetup) -> bool:
     """Whether the classes provably share a Gaussian law, where sv = 0 exactly
-    and the solver never closes its gap: equal means, and a singleton the
+    and no detector separates them: equal means, and a singleton the
     other set contains, two spectral balls (both hold eps * I), or an
-    interval with a member in a spectral ball.  Two equal singletons stay
-    with the solver, which certifies sv = 0 at once; two intervals stay with
-    it too."""
+    interval with a member in a spectral ball.  Two equal singletons and two
+    intervals stay with the solver, which certifies sv = 0 on a shared law;
+    prepare_scenario refuses that eps* = 1 as overlap."""
     u0, u1 = setup0.uset, setup1.uset
     if not np.array_equal(setup0.mean, setup1.mean) or type(u0) is type(u1) is SingletonPSD:
         return False
@@ -486,13 +489,17 @@ def _classes_overlap(setup0: ClassSetup, setup1: ClassSetup) -> bool:
 
 
 def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | None = None) -> SaddleSolution:
-    """Solve the detector-design saddle problem for two class setups.
+    """Solve the detector-design saddle problem for two class setups by
+    Frank-Wolfe on the covariances (see the module docstring).
 
     `opts.beta` bounds the whitened detector matrix away from the log-det
     domain boundary; it must lie strictly inside (0, 1).  Classes that
-    provably overlap (_classes_overlap) raise DomainError at once.  Raises
-    ConvergenceError with the last iterate when the duality gap is still
-    above `opts.gap_tol` after `opts.max_iters` outer iterations.
+    provably overlap (_classes_overlap) raise DomainError at once; classes
+    that share a law the refusal does not find certify sv = 0.  The solution
+    is the (h, H) with the least max-form value met, with its maximizing
+    Thetas.  Raises ConvergenceError with that (h, H) when the duality gap is
+    still above `opts.gap_tol` after iterations 0 to `opts.max_iters`, each
+    one fixed-Theta inner minimization.
     """
     opts = opts or SaddleOptions()
     if not 0.0 < opts.beta < 1.0:
@@ -504,102 +511,29 @@ def solve_saddle(setup0: ClassSetup, setup1: ClassSetup, opts: SaddleOptions | N
     prob = _SaddleProblem(setup0, setup1, opts.beta)
     d = setup0.dim
 
-    h = np.zeros(d)
-    big_h = np.zeros((d, d))
-    val, gh, gH, th0, th1 = prob.value_grad(h, big_h)
-    best = {"h": h, "H": big_h, "g": val, "th0": th0, "th1": th1}
-    sum_h, sum_H = h.copy(), big_h.copy()
-    sum_th0, sum_th1 = th0.copy(), th1.copy()
-    n_avg = 1
-    q_best = -math.inf
-    gap = math.inf
-    iterations = 0
-
-    def consider(cand_h, cand_H):
-        nonlocal best
-        v, _gh, _gH, t0, t1 = prob.value_grad(cand_h, cand_H)
-        if v < best["g"]:
-            best = {"h": cand_h, "H": cand_H, "g": v, "th0": t0, "th1": t1}
-        return v
-
-    warm = [None, None]  # per-candidate inner warm starts for H
-
-    def certify():
-        """Refresh the certified lower bound; may also improve the primal.
-        Stops at the first candidate that closes the gap: the averaged
-        Thetas' bound is the weaker one once the best Thetas' has."""
-        nonlocal q_best, gap
-        candidates = [
-            (best["th0"], best["th1"]),
-            (sum_th0 / n_avg, sum_th1 / n_avg),
-        ]
-        for slot, (c_th0, c_th1) in enumerate(candidates):
-            if slot and all(map(np.array_equal, candidates[0], (c_th0, c_th1))):
-                warm[slot] = warm[0]  # the same fixed-Theta problem was just solved
-                continue
-            warm_H = warm[slot] if warm[slot] is not None else best["H"]
-            _, ih, iH, bound = prob.inner_min(c_th0, c_th1, warm_H)
-            warm[slot] = iH
-            q_best = max(q_best, bound)
-            consider(ih, iH)
-            gap = best["g"] - q_best
-            if gap <= opts.gap_tol:
-                break
-        return gap
-
-    if certify() <= opts.gap_tol:
-        return _finish(best, gap, iterations)
-
-    step_scale = 1.0
-    zero_grad_stalls = 0
-    for k in range(1, opts.max_iters + 1):
-        iterations = k
-        norm_sq = float(gh @ gh) + float(np.sum(gH * gH))
-        if norm_sq <= 1e-30:
-            certify()
-            zero_grad_stalls += 1
-            if gap <= opts.gap_tol or zero_grad_stalls >= 3:
-                break
-            continue
-        if math.isfinite(q_best) and val > q_best:
-            step = (val - q_best) / norm_sq  # Polyak step toward the certified level
-        else:
-            step = step_scale / math.sqrt(k) / math.sqrt(norm_sq)
-        big_h, white1 = prob.project(big_h - step * gH)
-        h = h - step * gh
-        val, gh, gH, th0, th1 = prob.value_grad(h, big_h, white=prob.whiten(big_h, white1))
-        if val < best["g"]:
-            best = {"h": h, "H": big_h, "g": val, "th0": th0, "th1": th1}
-        sum_h += h
-        sum_H += big_h
-        sum_th0 += th0
-        sum_th1 += th1
-        n_avg += 1
-        if k == 1 or k % _CHECK_EVERY == 0:
-            consider(sum_h / n_avg, sum_H / n_avg)
-            if certify() <= opts.gap_tol:
-                break
-    if gap > opts.gap_tol:
-        raise ConvergenceError(
-            f"saddle solver reached {iterations} iterations with duality gap {gap:.3e} "
-            f"above tolerance {opts.gap_tol:g}",
-            last_iterate=(best["h"], best["H"]),
-            residual=gap,
-        )
-    return _finish(best, gap, iterations)
-
-
-def _finish(best, gap, iterations):
-    sv = float(best["g"])
-    return SaddleSolution(
-        h_star=best["h"],
-        H_star=best["H"],
-        theta0_star=best["th0"],
-        theta1_star=best["th1"],
-        sv=sv,
-        gap=float(gap),
-        epsilon_star=math.exp(sv),
-        iterations=iterations,
+    h, big_h = np.zeros(d), np.zeros((d, d))
+    upper, _, _, th0, th1 = prob.value_grad(h, big_h)
+    best = (h, big_h, th0, th1)
+    lower, gap = -math.inf, math.inf
+    for k in range(opts.max_iters + 1):
+        _, h, big_h, bound = prob.inner_min(th0, th1, big_h)
+        lower = max(lower, bound)
+        val, _, _, t0, t1 = prob.value_grad(h, big_h)
+        if val < upper:
+            upper, best = val, (h, big_h, t0, t1)
+        gap = upper - lower
+        if gap <= opts.gap_tol:
+            return SaddleSolution(*best, sv=upper, gap=gap, epsilon_star=math.exp(upper), iterations=k)
+        # a convex combination: gamma = 1 at k = 0 gives (t0, t1) bit for bit,
+        # so iteration 1 solves at the maximizing Thetas themselves
+        gamma = 2.0 / (k + 2.0)
+        th0 = (1.0 - gamma) * th0 + gamma * t0
+        th1 = (1.0 - gamma) * th1 + gamma * t1
+    raise ConvergenceError(
+        f"saddle solver reached {opts.max_iters} iterations with duality gap {gap:.3e} "
+        f"above tolerance {opts.gap_tol:g}",
+        last_iterate=best[:2],
+        residual=gap,
     )
 
 

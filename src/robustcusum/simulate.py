@@ -239,7 +239,7 @@ class PreparedScenario:
     robust_detector: object
     baseline_detector: object
     nu0_true: Gaussian
-    efficiency_factor: float | None
+    efficiency_factor: float
     post_draw: object  # draw(rng) -> Gaussian, per-trial true post-change law
     solution: object
 
@@ -272,6 +272,9 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
             setup0 = ClassSetup(cov0, mean0)
             setup1 = ClassSetup(cov1, mean1)
             sol = solve_saddle(setup0, setup1, cfg.saddle_options)
+            if sol.epsilon_star >= 1.0:
+                # sv = 0 within the gap: no detector separates the classes
+                raise DomainError("uncertainty sets overlap; change undetectable")
             robust = build_quadratic_detector(sol, setup0, setup1)
             design_rng = SeededStream(cfg.seed, stream_id(scen.index, LANE_DESIGN, 0)).generator()
         nu0_true = Gaussian(*scen.pre_law)
@@ -283,8 +286,7 @@ def prepare_scenario(cfg: ExperimentConfig, scen: ScenarioConfig, *, progress=No
         # a mean shift keeps the pre-change covariance: reuse nu0_true's factor
         return nu0_true.with_mean(mean) if scen.kind == "mean_shift" else Gaussian(mean, cov)
 
-    eps = sol.epsilon_star
-    efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - eps)) if eps < 1.0 else None
+    efficiency = kl_divergence(nu0_true, base_post) / (2.0 * (1.0 - sol.epsilon_star))
     return PreparedScenario(scen, robust, baseline, nu0_true, efficiency, post_draw, sol)
 
 

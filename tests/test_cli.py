@@ -473,17 +473,11 @@ def test_overlapping_mean_classes_name_their_scenario(tmp_path):
     assert "error: mean_row: uncertainty sets overlap; change undetectable" in err
 
 
-def test_interval_overlapping_a_ball_is_refused_at_once(tmp_path):
-    # I + sigma V for sigma in [0.5, 1] has lambda_max at most 1.53, inside
-    # the radius-3 ball: both classes hold that law.  The saddle solver would
-    # run its 20,000 iterations (about 6 s) before giving up
+def _refused_at_once_against_interval(tmp_path, u1):
+    """Run `detector` with u0 = I + sigma V, sigma in [0.5, 1], against `u1`
+    (equal means): it exits 1 on overlap within a second."""
     interval = {"variant": "interval", "base": "identity", "direction": "squared_exp_offdiag", "sigma_range": [0.5, 1.0]}
-    scenario = {
-        **MINI_CONFIG["scenarios"][1],
-        "u0": interval,
-        "u1": {"variant": "spectral_ball", "radius": 3.0},
-        "true_pre_cov": "identity",
-    }
+    scenario = {**MINI_CONFIG["scenarios"][1], "u0": interval, "u1": u1, "true_pre_cov": "identity"}
     path = tmp_path / "interval.cfg"
     path.write_text(json.dumps({**MINI_CONFIG, "threshold_mode": "theoretical", "scenarios": [scenario]}))
     start = time.perf_counter()
@@ -491,6 +485,28 @@ def test_interval_overlapping_a_ball_is_refused_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert "error: cov_row: uncertainty sets overlap; change undetectable" in err
+
+
+def test_interval_overlapping_a_ball_is_refused_at_once(tmp_path):
+    # I + sigma V for sigma in [0.5, 1] has lambda_max at most 1.53, inside
+    # the radius-3 ball: both classes hold that law, and solve_saddle finds
+    # that member and refuses the pair before its first iteration
+    _refused_at_once_against_interval(tmp_path, {"variant": "spectral_ball", "radius": 3.0})
+
+
+@pytest.mark.parametrize(
+    "u1",
+    [
+        {"variant": "interval", "base": "identity", "direction": "squared_exp_offdiag", "sigma_range": [1.0, 1.2]},
+        {"variant": "spectral_ball", "radius": 1.26375},
+    ],
+    ids=["interval-touching-at-1", "ball-just-short"],
+)
+def test_certified_zero_saddle_value_is_refused_as_overlap(tmp_path, u1):
+    # neither pair is refused before the solve (intervals are not searched,
+    # and the ball is 1e-3 short of the interval's least lambda_max); the
+    # solver certifies sv = 0, eps* = 1, within a few iterations
+    _refused_at_once_against_interval(tmp_path, u1)
 
 
 def test_nearly_overlapping_covariance_classes_still_solve(tmp_path):

@@ -102,6 +102,17 @@ def test_threshold_rejects_undetectable_and_bad_gamma():
         threshold_from_gamma(1.0, 0.5)
 
 
+def test_certified_threshold_falls_back_only_without_eps():
+    # log(gamma) serves a detector with no eps*; a certified eps* = 1 means the
+    # classes overlap, and it raises instead of falling back silently
+    a = np.array([-0.5, 0.2])
+    assert certified_threshold(100.0, AffineDetector(a=a, c=0.0, epsilon_star=None)) == math.log(100.0)
+    assert certified_threshold(100.0, AffineDetector(a=a, c=0.0, epsilon_star=0.5)) == threshold_from_gamma(100.0, 0.5)
+    for eps in (1.0, 0.0):
+        with pytest.raises(DomainError, match="strictly in"):
+            certified_threshold(100.0, AffineDetector(a=a, c=0.0, epsilon_star=eps))
+
+
 # blocks end at steps 16, 48, 112, ...: these horizons put the last step of a
 # run at, just before and just after the first two block edges
 BLOCK_EDGE_HORIZONS = (15, 16, 17, 48, 49)

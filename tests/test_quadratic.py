@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from robustcusum import (
 )
 from robustcusum.config import squared_exp_offdiagonal
 from robustcusum.gaussian import exp_quadratic_moment, sample_with
-from robustcusum.quadratic import _CHECK_EVERY, _phi_pieces, _SaddleProblem, _whiten, set_constants
+from robustcusum.quadratic import _phi_pieces, _SaddleProblem, _whiten, set_constants
 
 
 def _singleton_setup(d, u=None, theta=None):
@@ -364,14 +363,23 @@ def test_interval_against_ball_is_refused_only_on_a_witness():
                     solve_saddle(*pair, opts=SaddleOptions(max_iters=1))
 
 
-def test_overlapping_intervals_stay_with_the_solver():
-    # interval pairs are not searched for overlap; these two share the members
-    # sigma in [0.8, 1], and the solver certifies sv = 0 after one iteration
-    v = squared_exp_offdiagonal(3)
-    s0 = ClassSetup(MatrixInterval(np.eye(3), v, 0.5, 1.0), np.zeros(3))
-    s1 = ClassSetup(MatrixInterval(np.eye(3), v, 0.8, 1.2), np.zeros(3))
-    sol = solve_saddle(s0, s1)
-    assert sol.sv == 0.0 and sol.gap <= 1e-4 and sol.iterations <= 1
+@pytest.mark.parametrize(
+    "u1, max_iterations",
+    [
+        (MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), 0.8, 1.2), 4),
+        (MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), 1.0, 1.2), 1),
+        # 1e-3 below the interval's least lambda_max (1.26475): no shared member
+        (SpectralBall(1.26375, 3), 15),
+    ],
+    ids=["sharing-0.8-to-1", "touching-at-1", "near-ball"],
+)
+def test_overlapping_intervals_stay_with_the_solver(u1, max_iterations):
+    # interval pairs are not searched for overlap, and a ball a hair short of
+    # the interval is not refused; the solver certifies sv = 0 within a few
+    # Frank-Wolfe iterations, each one inner solve
+    s0 = ClassSetup(MatrixInterval(np.eye(3), squared_exp_offdiagonal(3), 0.5, 1.0), np.zeros(3))
+    sol = solve_saddle(s0, ClassSetup(u1, np.zeros(3)))
+    assert sol.sv == 0.0 and sol.gap <= 1e-4 and sol.iterations <= max_iterations
 
 
 def test_saddle_two_balls_with_different_means_solve():
@@ -558,9 +566,9 @@ def test_saddle_work_count_on_paper_interval(monkeypatch):
     ids=["d3-cov_row", "desk-cov_interval", "desk-cov_spectral"],
 )
 def test_saddle_certifies_after_the_first_outer_step(config, name, monkeypatch):
-    # the certificate at H = 0 maximizes over Thetas that all tie there; the
-    # maximizing Thetas of its inner solution already close the gap, so the
-    # averaged Thetas' weaker bound is never solved for
+    # iteration 0 solves at the Thetas maximizing at H = 0, which all tie
+    # there; the maximizing Thetas of its inner solution, where iteration 1
+    # solves, already close the gap
     s0, s1, opts = _scenario_problem(config, name)
     calls = []
     inner_min = _SaddleProblem.inner_min
@@ -571,23 +579,23 @@ def test_saddle_certifies_after_the_first_outer_step(config, name, monkeypatch):
     assert len(calls) == 2
 
 
-def test_uncertified_solve_certifies_at_iterations_0_1_and_every_check(monkeypatch):
+def test_uncertified_solve_takes_one_inner_solve_per_iteration(monkeypatch):
+    # max_iters = 3 allows iterations 0..3, each one inner solve at Thetas in
+    # the sets: the Frank-Wolfe step keeps them convex combinations of members
     s0, s1, _ = _scenario_problem(_D3_COV_ROW, "cov_row")
     seen = []
     inner_min = _SaddleProblem.inner_min
 
-    def recording(self, *args):
-        # frames: this wrapper, certify(), solve_saddle()
-        seen.append(sys._getframe(2).f_locals["iterations"])
-        return inner_min(self, *args)
+    def recording(self, th0, th1, big_h):
+        seen.append((th0, th1))
+        return inner_min(self, th0, th1, big_h)
 
     monkeypatch.setattr(_SaddleProblem, "inner_min", recording)
-    opts = SaddleOptions(gap_tol=1e-300, max_iters=_CHECK_EVERY + 50)
-    with pytest.raises(ConvergenceError, match=f"reached {opts.max_iters} iterations"):
-        solve_saddle(s0, s1, opts)
-    assert set(seen) == {0, 1, _CHECK_EVERY}, seen
-    # iteration 0's two candidates coincide; later certificates solve at most two
-    assert seen.count(0) == 1 and len(seen) <= 5, seen
+    with pytest.raises(ConvergenceError, match="reached 3 iterations"):
+        solve_saddle(s0, s1, SaddleOptions(gap_tol=1e-300, max_iters=3))
+    assert len(seen) == 4
+    for th0, th1 in seen:
+        assert s0.uset.contains(th0, tol=1e-9) and s1.uset.contains(th1, tol=1e-9)
 
 
 def test_whiten_takes_class_1_decomposition_from_the_projection(monkeypatch):
