@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .config import SEED_LIMIT, load_bundled_config, load_config
-from .cusum import certified_threshold
+from .cusum import CALIBRATION_DONE, certified_threshold
 from .errors import CalibrationError, ConvergenceError, FlagError, RobustCusumError
 from .simulate import (
     calibrated_threshold,
@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Progress:
-    """Throttled progress printer (>= 1 s between lines), stderr only."""
+    """Throttled progress printer (>= 1 s between lines), stderr only.  The
+    line that closes a calibration is always printed."""
 
     def __init__(self, quiet: bool):
         self.quiet = quiet
@@ -114,7 +115,7 @@ class _Progress:
         if self.quiet:
             return
         now = time.monotonic()
-        if now - self._last >= 1.0:
+        if now - self._last >= 1.0 or message.startswith(CALIBRATION_DONE):
             print(message, file=sys.stderr, flush=True)
             self._last = now
 

@@ -28,9 +28,11 @@ common random numbers per trial (so the estimated ARL is exactly monotone in
 b along the bisection).  Calibration simulates each trial's path once, and
 only as far as the thresholds tried need: a trial keeps the records of its
 statistic (each new strict running maximum), and its alarm time at b is the
-time of the first record >= b.  An ARL evaluation stops summing trials as
-soon as their partial mean already exceeds gamma by more than the
-tolerance, since the full mean can only be larger.
+time of the first record >= b.  An ARL evaluation starts from lower bounds
+on every trial's run length (a trial not yet alarmed at b runs past the
+steps scanned so far) and extends the least-scanned trial one block at a
+time; it stops as soon as the mean of the bounds exceeds gamma by more than
+the tolerance, since the true mean can only be larger.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ _CALIBRATION_REL_TOL = 0.05
 _MAX_BISECTIONS = 60
 # times calibration moves a bracket whose lower end has ARL above gamma down
 _MAX_BRACKET_GROWTH = 4
+# opens the one progress line that closes each calibration
+CALIBRATION_DONE = "calibration: accepted"
 
 
 @dataclass(frozen=True)
@@ -145,25 +149,38 @@ class _LazyRun:
     def __init__(self, detector, gaussian: Gaussian, rng: np.random.Generator, horizon: int):
         self._horizon = horizon
         self._blocks = statistic_blocks(detector, gaussian, rng, horizon)
-        self._consumed = 0
+        self.consumed = 0  # steps scanned so far
         self._records = []  # strictly increasing record values of S_t
         self._times = []  # the step (1-based) of each record
 
+    def bound(self, b: float) -> tuple[int, bool]:
+        """(a lower bound on min(alarm time at b, horizon), whether it is
+        exact), from the steps scanned so far: the time of the first record
+        >= b, the horizon once the run is scanned to it, else the next step
+        not yet scanned."""
+        if self._records and self._records[-1] >= b:
+            return self._times[bisect.bisect_left(self._records, b)], True
+        if self.consumed >= self._horizon:
+            return self._horizon, True
+        return self.consumed + 1, False
+
     def run_length(self, b: float) -> int:
         """min(alarm time at threshold b, horizon)."""
-        while not (self._records and self._records[-1] >= b) and self._consumed < self._horizon:
-            self._extend()
-        i = bisect.bisect_left(self._records, b)
-        return self._times[i] if i < len(self._times) else self._horizon
+        t, exact = self.bound(b)
+        while not exact:
+            self.extend()
+            t, exact = self.bound(b)
+        return t
 
-    def _extend(self):
+    def extend(self):
+        """Scan the run's next block."""
         offset, stats = next(self._blocks)
         prev = self._records[-1] if self._records else -np.inf
         peaks = np.maximum(np.maximum.accumulate(stats), prev)
         new = np.flatnonzero(peaks > np.concatenate(([prev], peaks[:-1])))
         self._records.extend(stats[new].tolist())
         self._times.extend((offset + 1 + new).tolist())
-        self._consumed = offset + len(stats)
+        self.consumed = offset + len(stats)
 
 
 def certified_threshold(gamma: float, detector) -> float:
@@ -214,9 +231,14 @@ def calibrate_threshold_mc(
     conservative.  Every evaluation reuses the `streams` (a sequence of
     SeededStream, one per trial: common random numbers), making the
     estimated ARL monotone in b.  Each trial's path is simulated once and
-    only as far as the thresholds tried need.  A certified b <= 0 is itself
+    only as far as the thresholds tried need: an evaluation whose lower
+    bounds already put the ARL above gamma + tol stops there, having
+    scanned about (gamma + tol) steps per trial, spread over all trials and
+    reused by later evaluations.  A certified b <= 0 is itself
     the upper end of the starting bracket; while the ARL at the lower end
-    exceeds gamma, the bracket moves down to (2 lo - 10, lo).
+    exceeds gamma, the bracket moves down to (2 lo - 10, lo).  With
+    `progress`, each evaluation reports its ARL, and the accepted b closes
+    with the evaluation count and the steps every trial scanned in total.
     """
     trials = len(streams)
     if trials < MIN_TRIALS:
@@ -231,17 +253,44 @@ def calibrate_threshold_mc(
     runs = [_LazyRun(detector, nu0, stream.generator(), horizon) for stream in streams]
     tol = _CALIBRATION_REL_TOL * gamma
 
+    evaluations = 0
+
+    def above(total):
+        """Whether trials' run lengths summing to `total` put the ARL above gamma + tol."""
+        return total / trials - gamma > tol
+
     def arl(b, decide=True):
-        """(ARL at b, whether it is exact).  With `decide`, the sum over
-        trials stops once the partial mean exceeds gamma + tol; that partial
-        mean is a lower bound, and the bisection's decision is the same."""
-        times = np.zeros(trials, dtype=np.int64)
-        total = 0
+        """(ARL at b, whether it is exact).  With `decide`, the mean of the
+        trials' lower bounds (`_LazyRun.bound`) decides as soon as it exceeds
+        gamma + tol, since the true mean can only be larger; until then the
+        open trials are extended one block at a time, least scanned first
+        (ties in trial order), so no trial runs far ahead of the others."""
+        nonlocal evaluations
+        evaluations += 1
+        if not decide:
+            return float(np.mean([run.run_length(b) for run in runs])), True
+        times, pending = [], []
         for i, run in enumerate(runs):
-            times[i] = t = run.run_length(b)
-            total += t
-            if decide and total / trials - gamma > tol:
-                return total / trials, False
+            t, exact = run.bound(b)
+            times.append(t)
+            if not exact:
+                pending.append(i)
+        total = sum(times)
+        while pending and not above(total):
+            level = min(runs[i].consumed for i in pending)
+            still = []
+            for i in pending:
+                if runs[i].consumed == level and not above(total):
+                    runs[i].extend()
+                    t, exact = runs[i].bound(b)
+                    total += t - times[i]
+                    times[i] = t
+                    if exact:
+                        continue
+                still.append(i)
+            pending = still
+        if above(total):
+            return total / trials, False
         return float(np.mean(times)), True
 
     def report(b, val, exact):
@@ -256,16 +305,22 @@ def calibrate_threshold_mc(
             arl_high=arl_hi,
         )
 
+    def accepted(b):
+        if progress is not None:
+            steps = sum(run.consumed for run in runs)
+            progress(f"{CALIBRATION_DONE} b={b:.5g} after {evaluations} evaluations; trials scanned {steps} steps")
+        return b
+
     arl_lo, _ = arl(lo)
     if abs(arl_lo - gamma) <= tol:
-        return lo
+        return accepted(lo)
     if arl_lo > gamma:
         for _ in range(_MAX_BRACKET_GROWTH):
             lo, hi = 2.0 * lo - 10.0, lo
             arl_lo, exact = arl(lo)
             report(lo, arl_lo, exact)
             if abs(arl_lo - gamma) <= tol:
-                return lo
+                return accepted(lo)
             if arl_lo < gamma:
                 break
         else:
@@ -277,7 +332,7 @@ def calibrate_threshold_mc(
         val, exact = arl(mid)
         report(mid, val, exact)
         if abs(val - gamma) <= tol:
-            return mid
+            return accepted(mid)
         if val > gamma:
             hi = mid
         else:

@@ -57,6 +57,17 @@ def mini_cfg(tmp_path_factory):
     return str(path)
 
 
+def test_each_calibration_closes_with_one_stderr_line(mini_cfg):
+    # progress lines are throttled, but the line that closes a calibration is
+    # always printed; --quiet drops it and stdout does not change
+    code, out, err = run_cli(["calibrate", "--config", mini_cfg])
+    quiet_code, quiet_out, quiet_err = run_cli(["calibrate", "--config", mini_cfg, "--quiet"])
+    assert code == quiet_code == 0 and out == quiet_out and quiet_err == ""
+    closing = [line for line in err.splitlines() if line.startswith("calibration: accepted b=")]
+    # two scenarios, a robust and a baseline calibration each
+    assert len(closing) == 4 and all("trials scanned" in line for line in closing)
+
+
 def test_lfp_bundled_config_prints_solution():
     code, out, err = run_cli(["lfp", "--config", "l1_mean.cfg", "--quiet"])
     assert code == 0

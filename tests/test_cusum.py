@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,20 +322,25 @@ VARIANCE_UP = llr_detector(Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.zeros(2
 
 
 @pytest.mark.parametrize(
-    "detector, dim, gamma, seed, trials, decided_early",
+    "detector, dim, gamma, seed, trials, decided_early, horizon",
     [
-        (AFFINE_2D, 2, 150.0, 3, 150, True),
-        (VARIANCE_UP, 2, 200.0, 8, 120, True),
-        (AffineDetector(a=np.array([-0.2]), c=0.04, epsilon_star=math.exp(-0.16 / 8)), 1, 1000.0, 5, 120, True),
-        (WELL_SEPARATED, 1, 500.0, 1, 200, False),
+        (AFFINE_2D, 2, 150.0, 3, 150, True, None),
+        (VARIANCE_UP, 2, 200.0, 8, 120, True, None),
+        (AffineDetector(a=np.array([-0.2]), c=0.04, epsilon_star=math.exp(-0.16 / 8)), 1, 1000.0, 5, 120, True, None),
+        (WELL_SEPARATED, 1, 500.0, 1, 200, False, None),
+        # about half the trials are censored at 200 steps inside each probe
+        # decided above the target
+        (AFFINE_2D, 2, 150.0, 3, 150, True, 200),
     ],
-    ids=["affine", "quadratic", "early-exit", "nonpositive-certified-b"],
+    ids=["affine", "quadratic", "early-exit", "nonpositive-certified-b", "censored-short-horizon"],
 )
-def test_lazy_calibration_matches_eager_oracle(detector, dim, gamma, seed, trials, decided_early):
+def test_lazy_calibration_matches_eager_oracle(detector, dim, gamma, seed, trials, decided_early, horizon):
     nu0 = Gaussian(np.zeros(dim), np.eye(dim))
     lines = []
-    b = calibrate_threshold_mc(detector, nu0, gamma, calibration_streams(seed, trials), progress=lines.append)
-    assert b == eager_calibration(detector, nu0, gamma, calibration_streams(seed, trials))
+    b = calibrate_threshold_mc(
+        detector, nu0, gamma, calibration_streams(seed, trials), horizon=horizon, progress=lines.append
+    )
+    assert b == eager_calibration(detector, nu0, gamma, calibration_streams(seed, trials), horizon=horizon)
     # an evaluation that stopped once its partial mean passed 1.05 gamma
     # reports that lower bound as "ARL>"
     assert any("ARL>" in line for line in lines) == decided_early
@@ -349,6 +355,61 @@ def test_lazy_run_lengths_match_run_until_alarm():
         for b in thresholds:
             res = run_until_alarm(det, nu0, stream.generator(), b, horizon)
             assert run.run_length(b) == (horizon if res.alarm_time is None else res.alarm_time)
+
+
+def test_lazy_run_bound_is_a_lower_bound_exact_when_it_says_so():
+    # bound(b) never exceeds min(T_b, horizon) and equals it when reported
+    # exact, whatever mix of bound, extend and run_length came before.  Under
+    # the drifted law the alarms spread over the first blocks; the short
+    # horizon censors most runs
+    det = AFFINE_2D
+    order = np.random.default_rng(6)
+    for shift, horizon in ((0.0, 3000), (0.5, 3000), (0.5, 40)):
+        nu0 = Gaussian(np.full(2, shift), np.eye(2))
+        thresholds = order.permutation(np.linspace(-1.0, 12.0, 27))
+        for stream in calibration_streams(12, 30):
+            run = _LazyRun(det, nu0, stream.generator(), horizon)
+            for k, b in enumerate(thresholds):
+                res = run_until_alarm(det, nu0, stream.generator(), b, horizon)
+                truth = horizon if res.alarm_time is None else res.alarm_time
+                if k % 3 == 1:
+                    assert run.run_length(b) == truth
+                elif k % 3 == 2 and run.consumed < horizon:
+                    run.extend()
+                while True:
+                    bound, exact = run.bound(b)
+                    assert bound <= truth and (bound == truth or not exact)
+                    if exact:
+                        break
+                    run.extend()
+
+
+def test_calibration_draws_at_most_half_the_rows_of_prefix_summing(monkeypatch):
+    # desk l1_mean robust row.  Summing trials 0, 1, 2, ... in full until the
+    # partial mean passed gamma + tol drew 403,480 rows here; lower bounds on
+    # the least-scanned trials draw 189,312.  The closing progress line
+    # reports every step scanned, one row per step.
+    from robustcusum import L1Ball, SingletonVector, build_affine_detector, solve_lfp
+
+    rows = []
+
+    def counting(gaussian, rng, n):
+        rows.append(n)
+        return sample_with(gaussian, rng, n)
+
+    monkeypatch.setattr("robustcusum.cusum.sample_with", counting)
+    d, gamma = 10, 500.0
+    sol = solve_lfp(SingletonVector(np.zeros(d)), L1Ball(np.ones(d), 0.9 * d), np.eye(d))
+    det = build_affine_detector(sol, np.eye(d))
+    lines = []
+    b = calibrate_threshold_mc(
+        det, Gaussian(np.zeros(d), np.eye(d)), gamma, calibration_streams(17, 200), progress=lines.append
+    )
+    assert sum(rows) <= 403_480 // 2
+    assert [line for line in lines if "accepted" in line] == [lines[-1]]
+    summary = re.fullmatch(r"calibration: accepted b=(\S+) after (\d+) evaluations; trials scanned (\d+) steps", lines[-1])
+    assert summary is not None and summary[1] == f"{b:.5g}"
+    assert int(summary[2]) >= len(lines) - 1 and int(summary[3]) == sum(rows)
 
 
 def test_calibration_grows_bracket_below_lower_end():
